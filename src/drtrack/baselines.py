@@ -19,9 +19,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .model import ModelParams, PsiKind, SampleSet, var_threshold
 from .projections import project_simplex
+from .spg import SpgParams
 
 __all__ = [
-    "BaselineMethod",
     "StepRule",
     "BaselineParams",
     "ScvarResult",
@@ -30,19 +30,11 @@ __all__ = [
     "te_l2_solve",
 ]
 
-# Armijo constants shared with the smoothing solver's line search.
-_ARMIJO_ALPHA0 = 1.0
-_ARMIJO_SIGMA = 1e-6
-_ARMIJO_RHO = 0.5
-_ARMIJO_MAX_BACKTRACKS = 60
+# Armijo constants (alpha0, sigma, rho, max_backtracks) of the smoothing solver.
+_ARMIJO = SpgParams()
 
 # Base stepsize of the diminishing schedule a0 / sqrt(k + 1).
 _DIMINISHING_STEP0 = 1.0
-
-
-class BaselineMethod(enum.Enum):
-    SCVAR_SUBGRAD = "scvar-subgrad"
-    TE_L2_PROJGRAD = "te-l2-projgrad"
 
 
 class StepRule(enum.Enum):
@@ -61,14 +53,11 @@ class BaselineParams:
     iterate displacement falls below ``tolerance``.
     """
 
-    method: BaselineMethod = BaselineMethod.SCVAR_SUBGRAD
     max_iters: int = 50_000
     step_rule: StepRule = StepRule.ARMIJO
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not isinstance(self.method, BaselineMethod):
-            raise InvalidInputError(f"method must be a BaselineMethod, got {self.method!r}")
         if not isinstance(self.step_rule, StepRule):
             raise InvalidInputError(f"step_rule must be a StepRule, got {self.step_rule!r}")
         if self.max_iters < 1:
@@ -159,17 +148,17 @@ def scvar_solve(
     for k in range(params.max_iters):
         gx, galpha = _scvar_subgradient(x, alpha, samples, model)
         if armijo:
-            stepsize = _ARMIJO_ALPHA0
+            stepsize = _ARMIJO.alpha0
             accepted = False
-            for _ in range(_ARMIJO_MAX_BACKTRACKS + 1):
+            for _ in range(_ARMIJO.max_backtracks + 1):
                 x_new = project_simplex(x - stepsize * gx)
                 alpha_new = alpha - stepsize * galpha
                 f_new = scvar_objective(x_new, alpha_new, samples, model)
                 decrease = float(gx @ (x_new - x)) + galpha * (alpha_new - alpha)
-                if f_new <= fx + _ARMIJO_SIGMA * decrease:
+                if f_new <= fx + _ARMIJO.sigma * decrease:
                     accepted = True
                     break
-                stepsize *= _ARMIJO_RHO
+                stepsize *= _ARMIJO.rho
             if not accepted:
                 # Stall on a kink: continue with diminishing steps.
                 armijo = False

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ import numpy as np
 from .backtest import (
     MODEL_IDS,
     BacktestConfig,
+    _round_sig,
     grid_search,
     report_to_dict,
     run_backtest,
@@ -45,29 +46,23 @@ __all__ = ["main"]
 # (cardinality/MILP/nonconvex formulations needing external solvers).
 UNAVAILABLE_MODELS = ("mixed01-lp", "te-l0", "lasso", "l2-lp")
 
+_SPG_DEFAULTS = SpgParams()
+_BASELINE_DEFAULTS = BaselineParams()
+_BACKTEST_DEFAULTS = {f.name: f.default for f in fields(BacktestConfig)}
+
+# Solver, baseline and protocol values are the dataclass defaults.
 CONFIG_DEFAULTS: dict[str, object] = {
     "model.tau1": 2e-4,
     "model.tau2": 2e-4,
     "model.beta": 0.95,
-    "ambiguity.kappa1": 0.1,
-    "ambiguity.kappa2": 1.0,
-    "spg.alpha0": 1.0,
-    "spg.sigma": 1e-6,
-    "spg.rho": 0.5,
-    "spg.mu0": 1.0,
-    "spg.eta": 1e3,
-    "spg.omega": 0.5,
-    "spg.epsilon": 1e-4,
-    "spg.n0": 5,
-    "spg.mu_stop": 2e-6,
-    "spg.max_outer_iters": 3000,
-    "spg.max_backtracks": 60,
-    "spg.max_inner_per_phase": 10_000,
-    "baseline.max_iters": 50_000,
-    "baseline.step_rule": "armijo",
-    "baseline.tolerance": 1e-9,
-    "backtest.window": 3500,
-    "backtest.hold": 21,
+    "ambiguity.kappa1": _BACKTEST_DEFAULTS["kappa1"],
+    "ambiguity.kappa2": _BACKTEST_DEFAULTS["kappa2"],
+    **{f"spg.{f.name}": getattr(_SPG_DEFAULTS, f.name) for f in fields(SpgParams)},
+    "baseline.max_iters": _BASELINE_DEFAULTS.max_iters,
+    "baseline.step_rule": _BASELINE_DEFAULTS.step_rule.value,
+    "baseline.tolerance": _BASELINE_DEFAULTS.tolerance,
+    "backtest.window": _BACKTEST_DEFAULTS["window"],
+    "backtest.hold": _BACKTEST_DEFAULTS["hold"],
 }
 
 # Flag destinations that override config keys when provided.
@@ -114,20 +109,9 @@ def _model_params(cfg: dict[str, object]) -> ModelParams:
 
 
 def _spg_params(cfg: dict[str, object]) -> SpgParams:
-    return SpgParams(
-        alpha0=float(cfg["spg.alpha0"]),
-        sigma=float(cfg["spg.sigma"]),
-        rho=float(cfg["spg.rho"]),
-        mu0=float(cfg["spg.mu0"]),
-        eta=float(cfg["spg.eta"]),
-        omega=float(cfg["spg.omega"]),
-        epsilon=float(cfg["spg.epsilon"]),
-        n0=int(cfg["spg.n0"]),
-        mu_stop=float(cfg["spg.mu_stop"]),
-        max_outer_iters=int(cfg["spg.max_outer_iters"]),
-        max_backtracks=int(cfg["spg.max_backtracks"]),
-        max_inner_per_phase=int(cfg["spg.max_inner_per_phase"]),
-    )
+    # Each value is cast to the type of its default (float or int).
+    names = [f.name for f in fields(SpgParams)]
+    return SpgParams(**{n: type(getattr(_SPG_DEFAULTS, n))(cfg[f"spg.{n}"]) for n in names})
 
 
 def _baseline_params(cfg: dict[str, object]) -> BaselineParams:
@@ -156,10 +140,6 @@ def _backtest_config(cfg: dict[str, object], model_id: str) -> BacktestConfig:
         spg=_spg_params(cfg),
         baseline=_baseline_params(cfg),
     )
-
-
-def _round_sig(value: float) -> float:
-    return float(f"{value:.12g}")
 
 
 def _emit_json(doc, out: str | None) -> None:

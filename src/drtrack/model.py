@@ -281,17 +281,22 @@ class DualPoint:
     def from_array(cls, vec: np.ndarray, d: int) -> "DualPoint":
         """Inverse of :meth:`to_array` for ``d`` assets."""
         vec = np.asarray(vec, dtype=float)
-        m = d + 1
-        expected = d + 1 + m + m * m
+        expected = d + 1 + (d + 1) * (d + 2)
         if vec.ndim != 1 or vec.shape[0] != expected:
             raise InvalidInputError(
                 f"flat dual vector must have length {expected}, got shape {vec.shape}"
             )
-        x = vec[:d]
-        alpha = float(vec[d])
-        q = vec[d + 1 : d + 1 + m]
-        lam = vec[d + 1 + m :].reshape(m, m)
-        return cls(x=x, alpha=alpha, q=q, lam=lam)
+        return cls(*_split_flat(vec, d))
+
+
+def _split_flat(vec: np.ndarray, d: int):
+    """Views ``x, q, lam`` of a flat ``(x | alpha | q | vec(lam))``.
+
+    Returned as ``(x, float alpha, q, lam)``.  Unchecked: the solver
+    calls it on vectors it built itself.
+    """
+    m = d + 1
+    return vec[:d], float(vec[d]), vec[d + 1 : d + 1 + m], vec[d + 1 + m :].reshape(m, m)
 
 
 @dataclass(frozen=True)
@@ -339,10 +344,14 @@ def evaluate_khat(x, alpha, xi, model: ModelParams) -> float:
 def evaluate_h1(nu: DualPoint, amb: AmbiguityParams, model: ModelParams) -> float:
     """Sample-independent part of ``h``: multiplier terms plus penalties."""
     _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
+    return _h1(nu.x, nu.alpha, nu.q, nu.lam, amb, model)
+
+
+def _h1(x, alpha, q, lam, amb: AmbiguityParams, model: ModelParams) -> float:
     mu = amb.mu_hat
-    value = amb.kappa2 * float(np.sum(amb.sigma_hat * nu.lam))
-    value += float(mu @ nu.lam @ mu) + float(nu.q @ mu)
-    value += model.tau1 * float(nu.x @ nu.x) + model.tau2 * nu.alpha
+    value = amb.kappa2 * float(np.sum(amb.sigma_hat * lam))
+    value += float(mu @ lam @ mu) + float(q @ mu)
+    value += model.tau1 * float(x @ x) + model.tau2 * alpha
     return value
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import DualPoint
+from .model import DualPoint, _split_flat
 
 __all__ = ["project_simplex", "project_psd", "project_feasible"]
 
@@ -28,6 +28,9 @@ def project_simplex(v) -> np.ndarray:
         raise InvalidInputError(f"v must be a non-empty 1-d array, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise InvalidInputError("v contains non-finite entries")
+    # The projection is invariant under a common shift; shifting the top
+    # entry to zero keeps rank one in the support however large ``v`` is.
+    v = v - v.max()
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u) - 1.0
     ranks = np.arange(1, v.shape[0] + 1)
@@ -62,9 +65,12 @@ def project_feasible(nu: DualPoint) -> DualPoint:
     Projects ``x`` onto the simplex and ``lam`` onto the PSD cone;
     ``alpha`` and ``q`` are unconstrained and pass through.
     """
-    return DualPoint(
-        x=project_simplex(nu.x),
-        alpha=nu.alpha,
-        q=nu.q,
-        lam=project_psd(nu.lam),
-    )
+    return DualPoint.from_array(_project_flat(nu.to_array(), nu.dim), nu.dim)
+
+
+def _project_flat(vec: np.ndarray, d: int) -> np.ndarray:
+    """:func:`project_feasible` of a flat dual vector, overwriting ``vec``."""
+    x, _, _, lam = _split_flat(vec, d)
+    x[:] = project_simplex(x)
+    lam[:] = project_psd(lam)
+    return vec

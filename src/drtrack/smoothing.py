@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,9 @@ from .model import (
     ModelParams,
     PsiKind,
     SampleSet,
-    evaluate_h1,
+    _check_sample_dim,
+    _h1,
+    _split_flat,
 )
 
 __all__ = [
@@ -57,10 +60,7 @@ class SmoothingParam:
     mu: float
 
     def __post_init__(self) -> None:
-        mu = float(self.mu)
-        if not math.isfinite(mu) or mu <= 0.0:
-            raise InvalidInputError(f"mu must be a positive finite float, got {self.mu!r}")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _mu_value(self.mu))
 
 
 def _mu_value(mu) -> float:
@@ -118,14 +118,80 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_parts(
-    nu: DualPoint, mu: float, amb: AmbiguityParams
-) -> tuple[float, np.ndarray]:
-    """Smoothed mean-ellipsoid term and its argument ``sigma_hat @ u``."""
-    u = nu.q + 2.0 * nu.lam @ amb.mu_hat
+class _Smoothed(NamedTuple):
+    """The smoothed components at one point, with what the gradient reuses."""
+
+    value: float  # mu * logsumexp(vals / mu)
+    vals: np.ndarray  # smoothed max-components, shape (N,)
+    c: np.ndarray  # tracking deviations xi_a - xi_b @ x
+    t: np.ndarray  # plus-part arguments loss - alpha
+    norm_val: float  # smoothed mean-ellipsoid term
+    su: np.ndarray  # sigma_hat @ (q + 2 lam mu_hat)
+
+
+def _smooth(flat: np.ndarray, d: int, samples: SampleSet, mu: float, amb, model) -> _Smoothed:
+    """Smoothed components and objective at a flat dual vector, unchecked.
+
+    The log-sum-exp, taken against the running maximum, brackets the
+    largest component within ``mu * log(N)``.
+    """
+    x, alpha, q, lam = _split_flat(flat, d)
+    u = q + 2.0 * lam @ amb.mu_hat
     su = amb.sigma_hat @ u
-    value = math.sqrt(amb.kappa1 * float(u @ su) + mu)
-    return value, su
+    norm_val = math.sqrt(amb.kappa1 * float(u @ su) + mu)
+    base = _h1(x, alpha, q, lam, amb, model) + norm_val
+    s = samples.samples
+    losses = -(samples.xi_b @ x)
+    c = samples.xi_a + losses
+    t = losses - alpha
+    quad = np.sum((s @ lam) * s, axis=1) + s @ q
+    vals = base + smooth_psi(c, mu, model.psi) - quad + model.cvar_coef * smooth_plus(t, mu)
+    top = float(vals.max())
+    value = top + mu * math.log(float(np.exp((vals - top) / mu).sum()))
+    return _Smoothed(value, vals, c, t, norm_val, su)
+
+
+def _gradient(
+    flat: np.ndarray, d: int, at: _Smoothed, samples: SampleSet, mu: float, amb, model
+) -> np.ndarray:
+    """Flat gradient of the smoothed objective from its components ``at``.
+
+    The gradient is the softmax-weighted combination of the component
+    gradients.  The matrix block is symmetrised so ascent directions
+    stay inside the symmetric matrices that the feasible set uses.
+    """
+    x = flat[:d]
+    s = samples.samples
+    mu_hat = amb.mu_hat
+    weights = np.exp((at.vals - float(at.vals.max())) / mu)
+    weights /= weights.sum()
+    weights[weights < WEIGHT_FLUSH] = 0.0
+
+    sig = _sigmoid(at.t / mu)
+    psi_prime = _smooth_psi_prime(at.c, mu, model.psi)
+    coef = model.cvar_coef
+
+    gx = 2.0 * model.tau1 * x - samples.xi_b.T @ (weights * (psi_prime + coef * sig))
+    galpha = model.tau2 - coef * float(weights @ sig)
+    g_norm = (amb.kappa1 / at.norm_val) * at.su
+    gq = mu_hat + g_norm - s.T @ weights
+    glam = (
+        amb.kappa2 * amb.sigma_hat
+        + np.outer(mu_hat, mu_hat)
+        + 2.0 * np.outer(g_norm, mu_hat)
+        - (s * weights[:, None]).T @ s
+    )
+    glam = 0.5 * (glam + glam.T)
+    return np.concatenate([gx, [galpha], gq, glam.ravel()])
+
+
+def _checked(nu: DualPoint, samples: SampleSet, mu, amb: AmbiguityParams, model: ModelParams):
+    """Validate a wrapper's inputs; return ``nu`` flattened, ``mu`` and the kernel result."""
+    mu = _mu_value(mu)
+    _check_sample_dim(samples.samples.shape[1], nu.dim, "samples")
+    _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
+    flat = nu.to_array()
+    return flat, mu, _smooth(flat, nu.dim, samples, mu, amb, model)
 
 
 def smooth_h_values(
@@ -136,19 +202,7 @@ def smooth_h_values(
     model: ModelParams,
 ) -> np.ndarray:
     """Smoothed max-components for every sample row, shape ``(N,)``."""
-    mu = _mu_value(mu)
-    if samples.samples.shape[1] != nu.dim + 1:
-        raise InvalidInputError(
-            f"samples have dimension {samples.samples.shape[1]}, expected {nu.dim + 1}"
-        )
-    norm_val, _ = _norm_parts(nu, mu, amb)
-    base = evaluate_h1(nu, amb, model) + norm_val
-    s = samples.samples
-    losses = -(samples.xi_b @ nu.x)
-    c = samples.xi_a + losses
-    quad = np.sum((s @ nu.lam) * s, axis=1) + s @ nu.q
-    plus = smooth_plus(losses - nu.alpha, mu)
-    return base + smooth_psi(c, mu, model.psi) - quad + model.cvar_coef * plus
+    return _checked(nu, samples, mu, amb, model)[2].vals
 
 
 def smooth_h(
@@ -169,16 +223,8 @@ def smooth_phi(
     amb: AmbiguityParams,
     model: ModelParams,
 ) -> float:
-    """Log-sum-exp aggregation of the smoothed components.
-
-    Returns ``mu * log(sum_i exp(h_i / mu))`` computed against the
-    running maximum, which brackets the true maximum within
-    ``mu * log(N)``.
-    """
-    mu = _mu_value(mu)
-    vals = smooth_h_values(nu, samples, mu, amb, model)
-    top = float(vals.max())
-    return top + mu * math.log(float(np.exp((vals - top) / mu).sum()))
+    """Log-sum-exp aggregation ``mu * log(sum_i exp(h_i / mu))`` of the components."""
+    return _checked(nu, samples, mu, amb, model)[2].value
 
 
 def grad_smooth_phi(
@@ -188,48 +234,6 @@ def grad_smooth_phi(
     amb: AmbiguityParams,
     model: ModelParams,
 ) -> DualPoint:
-    """Gradient of :func:`smooth_phi`, packaged blockwise as a DualPoint.
-
-    The gradient is the softmax-weighted combination of the component
-    gradients.  The matrix block is symmetrised so ascent directions
-    stay inside the symmetric matrices that the feasible set uses.
-    """
-    mu = _mu_value(mu)
-    if samples.samples.shape[1] != nu.dim + 1:
-        raise InvalidInputError(
-            f"samples have dimension {samples.samples.shape[1]}, expected {nu.dim + 1}"
-        )
-    s = samples.samples
-    mu_hat = amb.mu_hat
-
-    norm_val, su = _norm_parts(nu, mu, amb)
-    base = evaluate_h1(nu, amb, model) + norm_val
-    losses = -(samples.xi_b @ nu.x)
-    c = samples.xi_a + losses
-    t = losses - nu.alpha
-    quad = np.sum((s @ nu.lam) * s, axis=1) + s @ nu.q
-    vals = base + smooth_psi(c, mu, model.psi) - quad + model.cvar_coef * smooth_plus(t, mu)
-
-    top = float(vals.max())
-    weights = np.exp((vals - top) / mu)
-    weights /= weights.sum()
-    weights[weights < WEIGHT_FLUSH] = 0.0
-
-    sig = _sigmoid(t / mu)
-    psi_prime = _smooth_psi_prime(c, mu, model.psi)
-    coef = model.cvar_coef
-
-    gx = 2.0 * model.tau1 * nu.x - samples.xi_b.T @ (
-        weights * (psi_prime + coef * sig)
-    )
-    galpha = model.tau2 - coef * float(weights @ sig)
-    g_norm = (amb.kappa1 / norm_val) * su
-    gq = mu_hat + g_norm - s.T @ weights
-    glam = (
-        amb.kappa2 * amb.sigma_hat
-        + np.outer(mu_hat, mu_hat)
-        + 2.0 * np.outer(g_norm, mu_hat)
-        - (s * weights[:, None]).T @ s
-    )
-    glam = 0.5 * (glam + glam.T)
-    return DualPoint(x=gx, alpha=galpha, q=gq, lam=glam)
+    """Gradient of :func:`smooth_phi`, packaged blockwise as a DualPoint."""
+    flat, mu, at = _checked(nu, samples, mu, amb, model)
+    return DualPoint.from_array(_gradient(flat, nu.dim, at, samples, mu, amb, model), nu.dim)

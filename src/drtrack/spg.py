@@ -7,6 +7,13 @@ Armijo backtracking until the scaled displacement falls under a
 threshold tied to the current smoothing level; the overall run stops
 once the projected-gradient residual and the smoothing level are both
 small, or when iteration budgets are exhausted.
+
+:func:`spg_solve` validates and projects the start point once on
+entry and builds one :class:`DualPoint` on exit.  In between it works
+on one flat vector ``(x | alpha | q | vec(lam))``; the gradient at an
+accepted trial reuses the smoothed components that trial computed.  A
+non-finite smoothed gradient, or a line search that fails on a
+non-finite trial value, raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -18,17 +25,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .model import (
     AmbiguityParams,
     DualPoint,
     ModelParams,
     SampleSet,
+    _check_sample_dim,
     evaluate_phi_n,
     var_threshold,
 )
-from .projections import project_feasible
-from .smoothing import SmoothingParam, grad_smooth_phi, smooth_phi
+from .projections import _project_flat, project_feasible
+from .smoothing import SmoothingParam, _gradient, _smooth, _Smoothed, grad_smooth_phi, smooth_phi
 
 __all__ = [
     "SpgParams",
@@ -158,8 +166,9 @@ def default_start(samples: SampleSet, model: ModelParams) -> DualPoint:
     )
 
 
-def _projected_step(y: DualPoint, gflat: np.ndarray, stepsize: float) -> DualPoint:
-    return project_feasible(DualPoint.from_array(y.to_array() - stepsize * gflat, y.dim))
+def _residual(y: np.ndarray, g: np.ndarray, d: int) -> float:
+    """Norm of the unit-step projected-gradient displacement at flat ``y``."""
+    return float(np.linalg.norm(_project_flat(y - g, d) - y))
 
 
 def stationarity_residual(
@@ -171,31 +180,33 @@ def stationarity_residual(
 ) -> float:
     """Norm of the unit-step projected-gradient displacement at ``nu``."""
     grad = grad_smooth_phi(nu, samples, mu, amb, model)
-    moved = _projected_step(nu, grad.to_array(), 1.0)
-    return float(np.linalg.norm(moved.to_array() - nu.to_array()))
+    return _residual(nu.to_array(), grad.to_array(), nu.dim)
 
 
-def _armijo_from(
-    y: DualPoint,
-    fy: float,
-    grad: DualPoint,
-    mu: float,
-    samples: SampleSet,
-    amb: AmbiguityParams,
-    model: ModelParams,
-    spg: SpgParams,
-) -> ArmijoStep:
-    gflat = grad.to_array()
-    yflat = y.to_array()
+def _not_finite(what: str, mu: float, k: int | None) -> NumericalError:
+    where = "" if k is None else f" in outer iteration {k}"
+    return NumericalError(f"smoothed {what} is not finite at mu={mu:.3g}{where}")
+
+
+def _armijo_flat(
+    y: np.ndarray, fy: float, g: np.ndarray, d: int, mu: float, samples, amb, model, spg, k=None
+) -> tuple[np.ndarray, _Smoothed | None, float, int]:
+    """Flat Armijo step: ``(point, smoothed, stepsize, backtracks)``.
+
+    ``smoothed`` is the kernel result at the accepted point, or None
+    after a stall, when the point is ``y``.  A stall on a non-finite
+    last trial value raises :class:`NumericalError` naming outer iteration ``k``.
+    """
     stepsize = spg.alpha0
     for backtracks in range(spg.max_backtracks + 1):
-        cand = _projected_step(y, gflat, stepsize)
-        fc = smooth_phi(cand, samples, mu, amb, model)
-        decrease = float(gflat @ (cand.to_array() - yflat))
-        if fc <= fy + spg.sigma * decrease:
-            return ArmijoStep(cand, fc, stepsize, backtracks, False)
+        cand = _project_flat(y - stepsize * g, d)
+        at = _smooth(cand, d, samples, mu, amb, model)
+        if at.value <= fy + spg.sigma * float(g @ (cand - y)):
+            return cand, at, stepsize, backtracks
         stepsize *= spg.rho
-    return ArmijoStep(y, fy, stepsize, spg.max_backtracks + 1, True)
+    if not math.isfinite(at.value):
+        raise _not_finite("objective", mu, k)
+    return y, None, stepsize, spg.max_backtracks + 1
 
 
 def armijo_search(
@@ -215,7 +226,12 @@ def armijo_search(
     mu = mu.mu if isinstance(mu, SmoothingParam) else float(mu)
     fy = smooth_phi(y, samples, mu, amb, model)
     grad = grad_smooth_phi(y, samples, mu, amb, model)
-    return _armijo_from(y, fy, grad, mu, samples, amb, model, spg)
+    point, at, stepsize, backtracks = _armijo_flat(
+        y.to_array(), fy, grad.to_array(), y.dim, mu, samples, amb, model, spg
+    )
+    if at is None:
+        return ArmijoStep(y, fy, stepsize, backtracks, True)
+    return ArmijoStep(DualPoint.from_array(point, y.dim), at.value, stepsize, backtracks, False)
 
 
 def spg_solve(
@@ -234,21 +250,24 @@ def spg_solve(
     already below ``epsilon``; the run converges once residual and
     smoothing level are jointly small, stalls after three consecutive
     phases whose line search failed, and otherwise stops at the outer
-    iteration cap.
+    iteration cap.  Raises :class:`NumericalError` on a non-finite
+    smoothed gradient or failed line search.
     """
-    if samples.n_assets != nu0.dim:
+    d = nu0.dim
+    if samples.n_assets != d:
         raise InvalidInputError(
-            f"start point has {nu0.dim} assets, samples have {samples.n_assets}"
+            f"start point has {d} assets, samples have {samples.n_assets}"
         )
+    _check_sample_dim(amb.dim, d, "ambiguity parameters")
     start_time = time.perf_counter()
     nu = project_feasible(nu0)
+    y = nu.to_array()
     mu_k = spg.mu0
     grad_evals = 0
     inner_total = 0
     outer_done = 0
     consecutive_stalls = 0
     status = STATUS_ITERATION_CAP
-    residual = math.inf
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     phases: list[tuple[float, ...]] | None = [] if record_trace else None
 
@@ -256,72 +275,63 @@ def spg_solve(
         if trace is not None:
             trace.append((time.perf_counter() - start_time, value))
 
+    def gradient(point: np.ndarray, at: _Smoothed, k: int) -> np.ndarray:
+        nonlocal grad_evals
+        grad_evals += 1
+        g = _gradient(point, d, at, samples, mu_k, amb, model)
+        if not np.isfinite(g).all():
+            raise _not_finite("gradient", mu_k, k)
+        return g
+
     if trace is not None:
         _trace_point(smooth_phi(nu, samples, mu_k, amb, model))
     for k in range(spg.max_outer_iters):
-        grad = grad_smooth_phi(nu, samples, mu_k, amb, model)
-        grad_evals += 1
-        moved = _projected_step(nu, grad.to_array(), 1.0)
-        residual = float(np.linalg.norm(moved.to_array() - nu.to_array()))
+        at = _smooth(y, d, samples, mu_k, amb, model)
+        g = gradient(y, at, k)
+        residual = _residual(y, g, d)
         if residual <= spg.epsilon and mu_k <= spg.mu_stop:
             status = STATUS_CONVERGED
             outer_done = k
             break
+        stalled = False
         if residual >= spg.epsilon:
-            fy = smooth_phi(nu, samples, mu_k, amb, model)
+            fy = at.value
             phase_log = [fy]
-            y = nu
-            stalled = False
-            j = 0
-            while True:
-                gy = grad if j == 0 else grad_smooth_phi(y, samples, mu_k, amb, model)
-                if j > 0:
-                    grad_evals += 1
-                step = _armijo_from(y, fy, gy, mu_k, samples, amb, model, spg)
-                if step.stalled:
+            for j in range(1, spg.max_inner_per_phase + 1):
+                if j > 1:
+                    g = gradient(y, at, k)
+                y_next, trial, stepsize, _ = _armijo_flat(
+                    y, fy, g, d, mu_k, samples, amb, model, spg, k
+                )
+                if trial is None:
                     stalled = True
                     break
-                displacement = float(
-                    np.linalg.norm(step.y_next.to_array() - y.to_array())
-                )
-                y = step.y_next
-                fy = step.objective
+                displacement = float(np.linalg.norm(y_next - y))
+                y, at, fy = y_next, trial, trial.value
                 phase_log.append(fy)
                 inner_total += 1
                 _trace_point(fy)
-                j += 1
-                if j >= spg.n0 and displacement / step.stepsize < spg.eta * mu_k:
+                if j >= spg.n0 and displacement / stepsize < spg.eta * mu_k:
                     break
-                if j >= spg.max_inner_per_phase:
-                    break
-            nu = y
             if phases is not None:
                 phases.append(tuple(phase_log))
-            if stalled:
-                consecutive_stalls += 1
-                if consecutive_stalls >= _MAX_CONSECUTIVE_STALLS:
-                    status = STATUS_STALLED
-                    outer_done = k + 1
-                    break
-            else:
-                consecutive_stalls = 0
-        else:
-            consecutive_stalls = 0
+        consecutive_stalls = consecutive_stalls + 1 if stalled else 0
+        if consecutive_stalls >= _MAX_CONSECUTIVE_STALLS:
+            status = STATUS_STALLED
+            outer_done = k + 1
+            break
         mu_k = max(spg.omega * mu_k, _MU_MIN)
         outer_done = k + 1
-    else:
-        status = STATUS_ITERATION_CAP
 
     if status != STATUS_CONVERGED:
-        grad = grad_smooth_phi(nu, samples, mu_k, amb, model)
-        grad_evals += 1
-        moved = _projected_step(nu, grad.to_array(), 1.0)
-        residual = float(np.linalg.norm(moved.to_array() - nu.to_array()))
+        at = _smooth(y, d, samples, mu_k, amb, model)
+        residual = _residual(y, gradient(y, at, outer_done), d)
+    nu = DualPoint.from_array(y, d)
     objective, _ = evaluate_phi_n(nu, samples, amb, model)
     return SolveResult(
         nu=nu,
         objective=objective,
-        smooth_objective=smooth_phi(nu, samples, mu_k, amb, model),
+        smooth_objective=at.value,
         residual=residual,
         mu_final=mu_k,
         outer_iters=outer_done,

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from helpers import gaussian_instance
 from drtrack.baselines import (
-    BaselineMethod,
     BaselineParams,
     StepRule,
     scvar_objective,
@@ -18,8 +17,6 @@ from drtrack.model import ModelParams, PsiKind, SampleSet, var_threshold
 
 
 def test_baseline_params_validation():
-    with pytest.raises(InvalidInputError):
-        BaselineParams(method="scvar-subgrad")
     with pytest.raises(InvalidInputError):
         BaselineParams(step_rule="armijo")
     with pytest.raises(InvalidInputError):
@@ -80,7 +77,6 @@ def test_scvar_diminishing_rule_runs():
     samples, _, model = gaussian_instance(6, d=3, n=25, scale=0.01,
                                           tau1=1e-4, tau2=2e-4, beta=0.9)
     params = BaselineParams(
-        method=BaselineMethod.SCVAR_SUBGRAD,
         step_rule=StepRule.DIMINISHING,
         max_iters=2000,
     )

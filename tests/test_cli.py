@@ -3,12 +3,17 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from drtrack.backtest import BacktestConfig
+from drtrack.baselines import BaselineParams
 from drtrack.cli import CONFIG_DEFAULTS, UNAVAILABLE_MODELS, main
+from drtrack.model import ModelParams
+from drtrack.spg import SpgParams
 from drtrack.data import ReturnPanel, load_returns_csv, save_returns_csv, gen_synthetic
 
 # drcvar flags under which the solver converges quickly on quiet panels
@@ -259,3 +264,19 @@ def test_compare_cli(market_csv, capsys):
 
 def test_unavailable_model_list_is_fixed():
     assert UNAVAILABLE_MODELS == ("mixed01-lp", "te-l0", "lasso", "l2-lp")
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    spg = SpgParams()
+    for field in fields(SpgParams):
+        assert CONFIG_DEFAULTS[f"spg.{field.name}"] == getattr(spg, field.name)
+    baseline = BaselineParams()
+    assert CONFIG_DEFAULTS["baseline.max_iters"] == baseline.max_iters
+    assert CONFIG_DEFAULTS["baseline.step_rule"] == baseline.step_rule.value
+    assert CONFIG_DEFAULTS["baseline.tolerance"] == baseline.tolerance
+    config = BacktestConfig(model_id="drcvar-l2", model=ModelParams(0.0, 0.0, 0.5))
+    assert CONFIG_DEFAULTS["backtest.window"] == config.window
+    assert CONFIG_DEFAULTS["backtest.hold"] == config.hold
+    assert CONFIG_DEFAULTS["ambiguity.kappa1"] == config.kappa1
+    assert CONFIG_DEFAULTS["ambiguity.kappa2"] == config.kappa2
+

@@ -27,6 +27,12 @@ def test_project_simplex_matches_exhaustive_oracle():
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_project_simplex_large_finite_entries():
+    # v - (sum(v) - 1) rounds to zero at rank one once max(v) is ~1e16
+    assert np.array_equal(project_simplex([1e17, 0.0, 0.0]), [1.0, 0.0, 0.0])
+    assert np.array_equal(project_simplex([3e16, 1e16, 0.0]), [1.0, 0.0, 0.0])
+
+
 def test_project_simplex_fixes_feasible_points():
     rng = np.random.default_rng(19)
     for _ in range(50):

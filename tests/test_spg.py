@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_instance, tracking_instance, vertex_start
-from drtrack.errors import InvalidInputError
-from drtrack.model import evaluate_phi_n, var_threshold
+from drtrack.errors import InvalidInputError, NumericalError
+from drtrack.model import DualPoint, SampleSet, evaluate_phi_n, var_threshold
 from drtrack.smoothing import smooth_phi
 from drtrack.spg import (
     STATUS_CONVERGED,
@@ -139,6 +139,9 @@ def test_spg_rejects_dimension_mismatch():
     samples, amb, model = tracking_instance(0)
     with pytest.raises(InvalidInputError):
         spg_solve(vertex_start(4), samples, amb, model, SpgParams())
+    _, amb4, _ = gaussian_instance(0, d=4)
+    with pytest.raises(InvalidInputError):
+        spg_solve(vertex_start(3), samples, amb4, model, SpgParams())
 
 
 def test_spg_deterministic_apart_from_timing():
@@ -150,3 +153,32 @@ def test_spg_deterministic_apart_from_timing():
     assert first.outer_iters == second.outer_iters
     assert first.inner_iters == second.inner_iters
     assert first.grad_evals == second.grad_evals
+
+
+def test_spg_raises_numerical_error_on_overflow():
+    samples, amb, model = tracking_instance(0)
+    # 1e160 overflows the gradient; 1e155 leaves it finite but overflows
+    # every trial value of the first line search.
+    for scale, what in ((1e160, "gradient"), (1e155, "objective")):
+        huge = SampleSet(samples.samples * scale)
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=f"smoothed {what} is not finite at mu=1 in outer iteration 0"
+        ):
+            spg_solve(vertex_start(3), huge, amb, model, SpgParams())
+
+
+def test_spg_builds_constant_number_of_dual_points(monkeypatch):
+    samples, amb, model = tracking_instance(0)
+    nu0 = vertex_start(3)
+    built = []
+    original = DualPoint.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(DualPoint, "__post_init__", counting)
+    res = spg_solve(nu0, samples, amb, model, SpgParams())
+    assert res.inner_iters >= 50
+    # the projected start and the returned point; none per step or trial
+    assert len(built) <= 2
