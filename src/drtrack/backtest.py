@@ -17,16 +17,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import BaselineParams, scvar_solve, te_l2_solve
+from .baselines import BaselineParams, ScvarResult, scvar_solve, te_l2_solve
 from .data import ReturnPanel, build_sample_set, estimate_moments
 from .errors import DrTrackError, InvalidInputError
 from .model import AmbiguityParams, ModelParams, PsiKind
-from .spg import SpgParams, default_start, spg_solve
+from .spg import SolveResult, SpgParams, default_start, spg_solve
 
 __all__ = [
     "MODEL_IDS",
     "TAU_GRID",
     "BacktestConfig",
+    "ModelFit",
     "WindowResult",
     "BacktestReport",
     "Performance",
@@ -37,6 +38,7 @@ __all__ = [
     "compute_tei",
     "compute_teo",
     "compute_performance",
+    "solve_model",
     "run_backtest",
     "grid_search",
     "report_to_dict",
@@ -107,6 +109,19 @@ class BacktestReport:
     turnover: float | None
     cpu_seconds: float
     windows: tuple[WindowResult, ...]
+
+
+class ModelFit(NamedTuple):
+    """Weights, status and objective of one fit, with the solver's own result.
+
+    ``result`` is the :class:`SolveResult` of ``drcvar-*``, the
+    :class:`ScvarResult` of ``scvar-*``, or None for ``te-l2``.
+    """
+
+    x: np.ndarray
+    status: str
+    objective: float
+    result: SolveResult | ScvarResult | None
 
 
 class Performance(NamedTuple):
@@ -238,9 +253,19 @@ def compute_performance(weights, asset_gross) -> Performance:
     return Performance(sigma2, sharpe, turnover)
 
 
-def _fit_window(
-    panel: ReturnPanel, start: int, stop: int, config: BacktestConfig
-) -> tuple[np.ndarray, str]:
+def solve_model(
+    panel: ReturnPanel,
+    start: int,
+    stop: int,
+    config: BacktestConfig,
+    record_trace: bool = False,
+) -> ModelFit:
+    """Fit the model ``config.model_id`` names on panel rows ``[start, stop)``.
+
+    ``drcvar-*`` runs :func:`spg_solve` from :func:`default_start`,
+    ``scvar-*`` :func:`scvar_solve` and ``te-l2`` :func:`te_l2_solve`,
+    which records no trace.
+    """
     model = config.effective_model()
     samples = build_sample_set(panel, start, stop)
     if config.model_id.startswith("drcvar"):
@@ -251,13 +276,15 @@ def _fit_window(
             kappa1=config.kappa1,
             kappa2=config.kappa2,
         )
-        result = spg_solve(default_start(samples, model), samples, amb, model, config.spg)
-        return result.nu.x, result.status
+        result = spg_solve(
+            default_start(samples, model), samples, amb, model, config.spg, record_trace
+        )
+        return ModelFit(result.nu.x, result.status, result.objective, result)
     if config.model_id.startswith("scvar"):
-        result = scvar_solve(samples, model, config.baseline)
-        return result.x, result.status
-    x, _ = te_l2_solve(samples, config.model.tau1)
-    return x, "converged"
+        result = scvar_solve(samples, model, config.baseline, record_trace)
+        return ModelFit(result.x, result.status, result.objective, result)
+    x, objective = te_l2_solve(samples, model.tau1)
+    return ModelFit(x, "converged", objective, None)
 
 
 def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
@@ -278,7 +305,7 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
         stop = start + config.window
         begin = time.perf_counter()
         try:
-            x, status = _fit_window(panel, start, stop, config)
+            x, status, _, _ = solve_model(panel, start, stop, config)
         except DrTrackError as exc:
             raise type(exc)(f"window {t}: {exc}") from exc
         seconds = time.perf_counter() - begin

@@ -33,12 +33,19 @@ from .backtest import (
     grid_search,
     report_to_dict,
     run_backtest,
+    solve_model,
 )
-from .baselines import BaselineParams, StepRule, scvar_solve, te_l2_solve
-from .data import build_sample_set, estimate_moments, gen_synthetic, load_returns_csv, save_returns_csv
+from .baselines import BaselineParams, ScvarResult, StepRule
+from .data import gen_synthetic, load_returns_csv, save_returns_csv
 from .errors import DataError, InvalidInputError, NumericalError
-from .model import AmbiguityParams, ModelParams
-from .spg import SpgParams, default_start, spg_solve
+from .model import ModelParams
+from .spg import SolveResult, SpgParams
+
+# perfbench/layers.py wraps these names on this module to trace the
+# calls made through it; the solvers themselves run in ``solve_model``.
+from .baselines import scvar_solve  # noqa: F401
+from .data import build_sample_set, estimate_moments  # noqa: F401
+from .spg import spg_solve  # noqa: F401
 
 __all__ = ["main"]
 
@@ -187,75 +194,38 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = _backtest_config(cfg, args.model)
     panel = load_returns_csv(args.data)
     start, stop = _parse_rows(args.rows, panel.n_days)
-    samples = build_sample_set(panel, start, stop)
-    model = config.effective_model()
     want_trace = args.trace_out is not None
+    if want_trace and args.model == "te-l2":
+        raise InvalidInputError("--trace-out is not available for te-l2")
     begin = time.perf_counter()
-    if args.model.startswith("drcvar"):
-        moments = estimate_moments(panel, start, stop)
-        amb = AmbiguityParams(
-            mu_hat=moments.mu_hat,
-            sigma_hat=moments.sigma_hat,
-            kappa1=config.kappa1,
-            kappa2=config.kappa2,
+    fit = solve_model(panel, start, stop, config, record_trace=want_trace)
+    result = fit.result
+    doc = {
+        "model": args.model,
+        "status": fit.status,
+        "objective": fit.objective,
+        "wall_seconds": time.perf_counter() - begin,
+        "weights": [_round_sig(v) for v in fit.x],
+    }
+    if isinstance(result, SolveResult):
+        doc.update(
+            smooth_objective=result.smooth_objective,
+            residual=result.residual,
+            mu_final=result.mu_final,
+            outer_iters=result.outer_iters,
+            inner_iters=result.inner_iters,
+            grad_evals=result.grad_evals,
+            trials=result.trials,
+            wall_seconds=result.wall_seconds,
+            alpha=result.nu.alpha,
         )
-        result = spg_solve(
-            default_start(samples, model),
-            samples,
-            amb,
-            model,
-            config.spg,
-            record_trace=want_trace,
-        )
-        doc = {
-            "model": args.model,
-            "status": result.status,
-            "objective": result.objective,
-            "smooth_objective": result.smooth_objective,
-            "residual": result.residual,
-            "mu_final": result.mu_final,
-            "outer_iters": result.outer_iters,
-            "inner_iters": result.inner_iters,
-            "grad_evals": result.grad_evals,
-            "wall_seconds": result.wall_seconds,
-            "alpha": result.nu.alpha,
-            "weights": [_round_sig(v) for v in result.nu.x],
-        }
-        trace = result.trace
-        status = result.status
-    elif args.model.startswith("scvar"):
-        result = scvar_solve(samples, model, config.baseline, record_trace=want_trace)
-        doc = {
-            "model": args.model,
-            "status": result.status,
-            "objective": result.objective,
-            "iters": result.iters,
-            "wall_seconds": time.perf_counter() - begin,
-            "alpha": result.alpha,
-            "weights": [_round_sig(v) for v in result.x],
-        }
-        trace = result.trace
-        status = result.status
-    elif args.model == "te-l2":
-        if want_trace:
-            raise InvalidInputError("--trace-out is not available for te-l2")
-        x, objective = te_l2_solve(samples, model.tau1)
-        doc = {
-            "model": args.model,
-            "status": "converged",
-            "objective": objective,
-            "wall_seconds": time.perf_counter() - begin,
-            "weights": [_round_sig(v) for v in x],
-        }
-        trace = None
-        status = "converged"
-    else:  # pragma: no cover - argparse choices forbid this
-        raise InvalidInputError(f"unknown model {args.model!r}")
-    if want_trace and trace is not None:
-        _write_trace(args.trace_out, trace)
+    elif isinstance(result, ScvarResult):
+        doc.update(iters=result.iters, alpha=result.alpha)
+    if want_trace and result.trace is not None:
+        _write_trace(args.trace_out, result.trace)
     _emit_json(doc, args.out)
-    if args.strict and status != "converged":
-        print(f"solver did not converge: status={status}", file=sys.stderr)
+    if args.strict and fit.status != "converged":
+        print(f"solver did not converge: status={fit.status}", file=sys.stderr)
         return 4
     return 0
 

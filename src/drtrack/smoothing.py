@@ -78,10 +78,14 @@ def smooth_plus(t, mu):
     Evaluated as ``max(t, 0) + mu * log1p(exp(-|t| / mu))`` so large
     arguments of either sign cannot overflow.
     """
-    mu = _mu_value(mu)
-    t = np.asarray(t, dtype=float)
-    out = np.maximum(t, 0.0) + mu * np.log1p(np.exp(-np.abs(t) / mu))
+    out, _ = _plus_and_tail(np.asarray(t, dtype=float), _mu_value(mu))
     return float(out) if out.ndim == 0 else out
+
+
+def _plus_and_tail(t: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth plus-part of ``t`` and its tail ``exp(-|t| / mu)``."""
+    tail = np.exp(-np.abs(t) / mu)
+    return np.maximum(t, 0.0) + mu * np.log1p(tail), tail
 
 
 def smooth_abs(a, mu):
@@ -109,22 +113,16 @@ def _smooth_psi_prime(c: np.ndarray, mu: float, kind: PsiKind) -> np.ndarray:
     return c / np.sqrt(np.square(c) + mu)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 class _Smoothed(NamedTuple):
     """The smoothed components at one point, with what the gradient reuses."""
 
     value: float  # mu * logsumexp(vals / mu)
     vals: np.ndarray  # smoothed max-components, shape (N,)
+    spread: np.ndarray  # exp((vals - max(vals)) / mu), the unnormalised softmax
+    spread_sum: float
     c: np.ndarray  # tracking deviations xi_a - xi_b @ x
     t: np.ndarray  # plus-part arguments loss - alpha
+    tail: np.ndarray  # exp(-|t| / mu)
     norm_val: float  # smoothed mean-ellipsoid term
     su: np.ndarray  # sigma_hat @ (q + 2 lam mu_hat)
 
@@ -145,10 +143,13 @@ def _smooth(flat: np.ndarray, d: int, samples: SampleSet, mu: float, amb, model)
     c = samples.xi_a + losses
     t = losses - alpha
     quad = np.sum((s @ lam) * s, axis=1) + s @ q
-    vals = base + smooth_psi(c, mu, model.psi) - quad + model.cvar_coef * smooth_plus(t, mu)
+    plus, tail = _plus_and_tail(t, mu)
+    vals = base + smooth_psi(c, mu, model.psi) - quad + model.cvar_coef * plus
     top = float(vals.max())
-    value = top + mu * math.log(float(np.exp((vals - top) / mu).sum()))
-    return _Smoothed(value, vals, c, t, norm_val, su)
+    spread = np.exp((vals - top) / mu)
+    spread_sum = float(spread.sum())
+    value = top + mu * math.log(spread_sum)
+    return _Smoothed(value, vals, spread, spread_sum, c, t, tail, norm_val, su)
 
 
 def _gradient(
@@ -163,11 +164,11 @@ def _gradient(
     x = flat[:d]
     s = samples.samples
     mu_hat = amb.mu_hat
-    weights = np.exp((at.vals - float(at.vals.max())) / mu)
-    weights /= weights.sum()
+    weights = at.spread / at.spread_sum
     weights[weights < WEIGHT_FLUSH] = 0.0
 
-    sig = _sigmoid(at.t / mu)
+    # logistic(t / mu), from the tail exp(-|t| / mu) that cannot overflow
+    sig = np.where(at.t >= 0.0, 1.0, at.tail) / (1.0 + at.tail)
     psi_prime = _smooth_psi_prime(at.c, mu, model.psi)
     coef = model.cvar_coef
 

@@ -6,7 +6,10 @@ inner descent phases.  Each phase runs projected gradient steps with
 Armijo backtracking until the scaled displacement falls under a
 threshold tied to the current smoothing level; the overall run stops
 once the projected-gradient residual and the smoothing level are both
-small, or when iteration budgets are exhausted.
+small, or when iteration budgets are exhausted.  The first step of a
+phase tries ``alpha0`` first; every later step first tries the
+Barzilai-Borwein (spectral) step of the previous one, clipped to the
+line search's range, and backtracks monotonically from there.
 
 :func:`spg_solve` validates and projects the start point once on
 entry and builds one :class:`DualPoint` on exit.  In between it works
@@ -68,8 +71,11 @@ class SpgParams:
     """Tuning constants of the smoothing projected gradient method.
 
     ``alpha0``, ``sigma``, ``rho`` control the Armijo backtracking
-    line search; ``mu0`` and ``omega`` the initial smoothing level and
-    its shrink factor; ``eta`` and ``n0`` the inner-phase exit test
+    line search.  ``alpha0`` is the first trial step of each phase's
+    first step; later steps start from the Barzilai-Borwein step,
+    clipped to ``[alpha0 * rho**max_backtracks, alpha0]``.  ``mu0`` and
+    ``omega`` set the initial smoothing level and its shrink factor;
+    ``eta`` and ``n0`` the inner-phase exit test
     (leave after at least ``n0`` steps once the displacement per unit
     stepsize drops under ``eta`` times the smoothing level).
     ``epsilon`` bounds the projected-gradient residual and ``mu_stop``
@@ -131,7 +137,9 @@ class SolveResult:
 
     ``objective`` is the exact (unsmoothed) dual objective at ``nu``;
     ``smooth_objective`` and ``residual`` are taken at the final
-    smoothing level ``mu_final``.  ``trace`` holds one
+    smoothing level ``mu_final``.  ``trials`` counts the smoothed
+    evaluations spent inside line searches, at least one per accepted
+    inner step.  ``trace`` holds one
     ``(cpu_seconds, smoothed objective)`` pair per accepted inner step
     and ``phase_objectives`` the smoothed-objective sequence of every
     inner phase; both are None unless tracing was requested.
@@ -145,6 +153,7 @@ class SolveResult:
     outer_iters: int
     inner_iters: int
     grad_evals: int
+    trials: int
     wall_seconds: float
     status: str
     trace: tuple[tuple[float, float], ...] | None = None
@@ -188,16 +197,32 @@ def _not_finite(what: str, mu: float, k: int | None) -> NumericalError:
     return NumericalError(f"smoothed {what} is not finite at mu={mu:.3g}{where}")
 
 
+def _spectral_step(s: np.ndarray, r: np.ndarray, spg: SpgParams) -> float:
+    """Barzilai-Borwein first trial ``s's / s'r``, kept within the line search's range.
+
+    ``s`` and ``r`` are the last step's changes of the point and of the
+    gradient at one smoothing level.  The step is clipped to
+    ``[alpha0 * rho**max_backtracks, alpha0]``; without positive
+    curvature along ``s`` (``s'r <= 0``) it is ``alpha0``.
+    """
+    sr = float(s @ r)
+    if sr <= 0.0:
+        return spg.alpha0
+    floor = spg.alpha0 * spg.rho**spg.max_backtracks
+    return min(max(float(s @ s) / sr, floor), spg.alpha0)
+
+
 def _armijo_flat(
-    y: np.ndarray, fy: float, g: np.ndarray, d: int, mu: float, samples, amb, model, spg, k=None
+    y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, d: int, mu: float,
+    samples, amb, model, spg, k=None,
 ) -> tuple[np.ndarray, _Smoothed | None, float, int]:
-    """Flat Armijo step: ``(point, smoothed, stepsize, backtracks)``.
+    """Flat Armijo step from first trial ``stepsize``: ``(point, smoothed, stepsize, backtracks)``.
 
     ``smoothed`` is the kernel result at the accepted point, or None
-    after a stall, when the point is ``y``.  A stall on a non-finite
-    last trial value raises :class:`NumericalError` naming outer iteration ``k``.
+    after a stall, when the point is ``y`` and ``backtracks`` counts all
+    ``max_backtracks + 1`` failed trials.  A stall on a non-finite last
+    trial value raises :class:`NumericalError` naming outer iteration ``k``.
     """
-    stepsize = spg.alpha0
     for backtracks in range(spg.max_backtracks + 1):
         cand = _project_flat(y - stepsize * g, d)
         at = _smooth(cand, d, samples, mu, amb, model)
@@ -227,7 +252,7 @@ def armijo_search(
     fy = smooth_phi(y, samples, mu, amb, model)
     grad = grad_smooth_phi(y, samples, mu, amb, model)
     point, at, stepsize, backtracks = _armijo_flat(
-        y.to_array(), fy, grad.to_array(), y.dim, mu, samples, amb, model, spg
+        y.to_array(), fy, grad.to_array(), spg.alpha0, y.dim, mu, samples, amb, model, spg
     )
     if at is None:
         return ArmijoStep(y, fy, stepsize, backtracks, True)
@@ -265,6 +290,7 @@ def spg_solve(
     mu_k = spg.mu0
     grad_evals = 0
     inner_total = 0
+    trials = 0
     outer_done = 0
     consecutive_stalls = 0
     status = STATUS_ITERATION_CAP
@@ -297,16 +323,21 @@ def spg_solve(
         if residual >= spg.epsilon:
             fy = at.value
             phase_log = [fy]
+            first = spg.alpha0  # the gradient changed with mu; no earlier step carries over
             for j in range(1, spg.max_inner_per_phase + 1):
                 if j > 1:
-                    g = gradient(y, at, k)
-                y_next, trial, stepsize, _ = _armijo_flat(
-                    y, fy, g, d, mu_k, samples, amb, model, spg, k
+                    g_prev, g = g, gradient(y, at, k)
+                    first = _spectral_step(step, g - g_prev, spg)
+                y_next, trial, stepsize, backtracks = _armijo_flat(
+                    y, fy, g, first, d, mu_k, samples, amb, model, spg, k
                 )
                 if trial is None:
+                    trials += backtracks
                     stalled = True
                     break
-                displacement = float(np.linalg.norm(y_next - y))
+                trials += backtracks + 1
+                step = y_next - y
+                displacement = float(np.linalg.norm(step))
                 y, at, fy = y_next, trial, trial.value
                 phase_log.append(fy)
                 inner_total += 1
@@ -337,6 +368,7 @@ def spg_solve(
         outer_iters=outer_done,
         inner_iters=inner_total,
         grad_evals=grad_evals,
+        trials=trials,
         wall_seconds=time.perf_counter() - start_time,
         status=status,
         trace=tuple(trace) if trace is not None else None,

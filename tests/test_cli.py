@@ -80,9 +80,10 @@ def test_solve_drcvar_happy_path(quiet_csv, capsys):
     assert rc == 0
     assert doc["model"] == "drcvar-l2" and doc["status"] == "converged"
     for key in ("objective", "smooth_objective", "residual", "mu_final",
-                "outer_iters", "inner_iters", "grad_evals", "wall_seconds",
-                "alpha", "weights"):
+                "outer_iters", "inner_iters", "grad_evals", "trials",
+                "wall_seconds", "alpha", "weights"):
         assert key in doc
+    assert doc["trials"] >= doc["inner_iters"]
     assert sum(doc["weights"]) == pytest.approx(1.0, abs=1e-9)
     assert doc["residual"] <= 1e-4 and doc["mu_final"] <= 2e-6
 

@@ -5,12 +5,14 @@ import pytest
 
 from helpers import gaussian_instance, tracking_instance, vertex_start
 from drtrack.errors import InvalidInputError, NumericalError
-from drtrack.model import DualPoint, SampleSet, evaluate_phi_n, var_threshold
+from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
+from drtrack.model import AmbiguityParams, DualPoint, ModelParams, SampleSet, evaluate_phi_n, var_threshold
 from drtrack.smoothing import smooth_phi
 from drtrack.spg import (
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
     SpgParams,
+    _spectral_step,
     armijo_search,
     default_start,
     spg_solve,
@@ -182,3 +184,31 @@ def test_spg_builds_constant_number_of_dual_points(monkeypatch):
     assert res.inner_iters >= 50
     # the projected start and the returned point; none per step or trial
     assert len(built) <= 2
+
+
+def test_spectral_first_trial_rule():
+    spg = SpgParams(alpha0=2.0, rho=0.5, max_backtracks=4)
+    s = np.array([1.0, 0.0, 2.0])
+    # s's = 5, s'r = 4: the Barzilai-Borwein ratio lies inside the range
+    assert _spectral_step(s, np.array([0.0, 3.0, 2.0]), spg) == 1.25
+    # no positive curvature along s: fall back to alpha0
+    assert _spectral_step(s, np.array([-1.0, 0.0, 0.0]), spg) == 2.0
+    assert _spectral_step(s, np.array([0.0, 7.0, 0.0]), spg) == 2.0
+    # clipped above at alpha0 and below at alpha0 * rho**max_backtracks
+    assert _spectral_step(s, np.array([0.1, 0.0, 0.0]), spg) == 2.0
+    assert _spectral_step(s, np.array([100.0, 0.0, 0.0]), spg) == 0.125
+
+
+def test_spg_spectral_start_saves_line_search_trials():
+    panel = gen_synthetic(8, 500, 11)
+    samples = build_sample_set(panel)
+    moments = estimate_moments(panel)
+    amb = AmbiguityParams(
+        mu_hat=moments.mu_hat, sigma_hat=moments.sigma_hat, kappa1=0.1, kappa2=1.0
+    )
+    model = ModelParams(tau1=2e-4, tau2=2e-4, beta=0.95)
+    caps = SpgParams(max_outer_iters=20, max_inner_per_phase=5)
+    res = spg_solve(default_start(samples, model), samples, amb, model, caps)
+    assert res.inner_iters == 100
+    # restarting every line search at alpha0 costs 2.75 trials per step here
+    assert res.inner_iters <= res.trials <= 2.0 * res.inner_iters
