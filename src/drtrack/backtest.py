@@ -21,7 +21,15 @@ from .baselines import BaselineParams, ScvarResult, scvar_solve, te_l2_solve
 from .data import ReturnPanel, build_sample_set, estimate_moments
 from .errors import DrTrackError, InvalidInputError
 from .model import AmbiguityParams, ModelParams, PsiKind
-from .spg import SolveResult, SpgParams, default_start, spg_solve
+from .spg import (
+    STATUS_CONVERGED,
+    STATUS_ITERATION_CAP,
+    STATUS_STALLED,
+    SolveResult,
+    SpgParams,
+    default_start,
+    spg_solve,
+)
 
 __all__ = [
     "MODEL_IDS",
@@ -109,6 +117,14 @@ class BacktestReport:
     turnover: float | None
     cpu_seconds: float
     windows: tuple[WindowResult, ...]
+
+    @property
+    def status_counts(self) -> dict[str, int]:
+        """Windows per solver status; the solver's three statuses always appear."""
+        counts = dict.fromkeys((STATUS_CONVERGED, STATUS_ITERATION_CAP, STATUS_STALLED), 0)
+        for w in self.windows:
+            counts[w.status] = counts.get(w.status, 0) + 1
+        return counts
 
 
 class ModelFit(NamedTuple):
@@ -408,6 +424,7 @@ def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
         "sharpe": report.sharpe,
         "turnover": report.turnover,
         "cpu_seconds": report.cpu_seconds,
+        "status_counts": report.status_counts,
         "per_window": [
             {
                 "t": w.t,

@@ -236,6 +236,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     panel = load_returns_csv(args.data)
     report = run_backtest(panel, config)
     _emit_json(report_to_dict(report, config), args.out)
+    counts = ", ".join(f"{n} {status}" for status, n in report.status_counts.items())
+    print(f"{report.t_bar} windows: {counts}", file=sys.stderr)
     if args.strict:
         bad = [w.t for w in report.windows if w.status != "converged"]
         if bad:

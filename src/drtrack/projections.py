@@ -52,11 +52,35 @@ def project_psd(a) -> np.ndarray:
         raise InvalidInputError(f"a must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError("a contains non-finite entries")
-    sym = 0.5 * (a + a.T)
+    return _psd_parts(a)[0]
+
+
+def _psd_parts(a: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
+    """:func:`project_psd` of a checked square matrix, with its factor.
+
+    The factor ``(F, r)`` holds the ``r`` positive eigenpairs of the
+    symmetric part as ``F = V_+ sqrt(e_+)``; the projection is
+    ``F @ F.T``, which numpy forms as a symmetric rank-k update, so it
+    is exactly symmetric.
+    """
+    cols, npos = _eigen_factor(0.5 * (a + a.T))
+    pos = cols[:, :npos]
+    return pos @ pos.T, (pos, npos)
+
+
+def _eigen_factor(sym: np.ndarray) -> tuple[np.ndarray, int]:
+    """Signed eigen-factor ``(F, p)`` of a symmetric matrix.
+
+    ``sym = P P' - Q Q'`` with ``P = F[:, :p]`` the positive eigenpairs
+    as ``V sqrt(e)`` and ``Q = F[:, p:]`` the negative ones as
+    ``V sqrt(-e)``.
+    """
     eigvals, eigvecs = np.linalg.eigh(sym)
-    clipped = np.maximum(eigvals, 0.0)
-    out = (eigvecs * clipped) @ eigvecs.T
-    return 0.5 * (out + out.T)
+    pos, neg = eigvals > 0.0, eigvals < 0.0
+    cols = np.hstack(
+        [eigvecs[:, pos] * np.sqrt(eigvals[pos]), eigvecs[:, neg] * np.sqrt(-eigvals[neg])]
+    )
+    return cols, int(pos.sum())
 
 
 def project_feasible(nu: DualPoint) -> DualPoint:
@@ -65,12 +89,17 @@ def project_feasible(nu: DualPoint) -> DualPoint:
     Projects ``x`` onto the simplex and ``lam`` onto the PSD cone;
     ``alpha`` and ``q`` are unconstrained and pass through.
     """
-    return DualPoint.from_array(_project_flat(nu.to_array(), nu.dim), nu.dim)
+    return DualPoint.from_array(_project_flat(nu.to_array(), nu.dim)[0], nu.dim)
 
 
-def _project_flat(vec: np.ndarray, d: int) -> np.ndarray:
-    """:func:`project_feasible` of a flat dual vector, overwriting ``vec``."""
+def _project_flat(vec: np.ndarray, d: int) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
+    """:func:`project_feasible` of a flat dual vector, overwriting ``vec``.
+
+    Returns ``vec`` and the PSD factor of its ``lam`` block (see
+    :func:`_psd_parts`), which the smoothing kernel uses for the
+    quadratic terms.
+    """
     x, _, _, lam = _split_flat(vec, d)
     x[:] = project_simplex(x)
-    lam[:] = project_psd(lam)
-    return vec
+    lam[:], factor = _psd_parts(lam)
+    return vec, factor

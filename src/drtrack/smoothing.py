@@ -15,6 +15,17 @@ known margin (``mu * log 2``, ``sqrt(mu)``, ``sqrt(mu)``, and
 ``mu * log N`` respectively), so the smoothed objective squeezes the
 exact one as ``mu`` decreases.  All evaluations here are overflow-safe
 and deterministic.
+
+The kernel runs in two stages.  The first, free of ``mu``, computes
+per sample the quadratic form ``xi' lam xi + q' xi``, the tracking
+deviation and the plus-part argument, plus the sample-free terms.  The
+quadratic forms come from one product of the samples with
+``[F | q | (x; 0)]``, where ``F`` is an eigen-factor of the symmetric
+part of ``lam`` (the PSD projection's own factor inside the solver),
+so a trial costs one GEMM of width ``rank(lam) + 2``.  The second stage
+applies the surrogates and the log-sum-exp at level ``mu`` in O(N), so
+a new smoothing level re-runs only that stage.  The gradient forms the
+weighted Gram ``sum_i w_i xi_i xi_i'`` as a symmetric rank-k update.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .model import (
     _h1,
     _split_flat,
 )
+from .projections import _eigen_factor
 
 __all__ = [
     "SmoothingParam",
@@ -113,43 +125,87 @@ def _smooth_psi_prime(c: np.ndarray, mu: float, kind: PsiKind) -> np.ndarray:
     return c / np.sqrt(np.square(c) + mu)
 
 
+class _Parts(NamedTuple):
+    """The mu-free pieces of the smoothed components at one point."""
+
+    h1: float  # sample-free multiplier and penalty terms
+    usu: float  # u' sigma_hat u for u = q + 2 lam mu_hat
+    su: np.ndarray  # sigma_hat @ u
+    quad: np.ndarray  # xi' lam xi + q' xi per row
+    c: np.ndarray  # tracking deviations xi_a - xi_b @ x
+    t: np.ndarray  # plus-part arguments loss - alpha
+
+
 class _Smoothed(NamedTuple):
     """The smoothed components at one point, with what the gradient reuses."""
 
+    parts: _Parts
     value: float  # mu * logsumexp(vals / mu)
     vals: np.ndarray  # smoothed max-components, shape (N,)
     spread: np.ndarray  # exp((vals - max(vals)) / mu), the unnormalised softmax
     spread_sum: float
-    c: np.ndarray  # tracking deviations xi_a - xi_b @ x
-    t: np.ndarray  # plus-part arguments loss - alpha
     tail: np.ndarray  # exp(-|t| / mu)
     norm_val: float  # smoothed mean-ellipsoid term
-    su: np.ndarray  # sigma_hat @ (q + 2 lam mu_hat)
 
 
-def _smooth(flat: np.ndarray, d: int, samples: SampleSet, mu: float, amb, model) -> _Smoothed:
-    """Smoothed components and objective at a flat dual vector, unchecked.
+def _parts(flat: np.ndarray, factor, d: int, samples: SampleSet, amb, model) -> _Parts:
+    """The mu-free stage at a flat dual vector, unchecked.
 
-    The log-sum-exp, taken against the running maximum, brackets the
-    largest component within ``mu * log(N)``.
+    ``factor = (F, p)``, from :func:`drtrack.projections._eigen_factor`,
+    writes ``sym(lam)`` as ``P P' - Q Q'`` with
+    ``P = F[:, :p]`` and ``Q = F[:, p:]``.  One product of the samples
+    with ``[F | q | (x; 0)]`` yields the quadratic forms as row sums of
+    squares, ``xi' q`` and the portfolio returns ``xi_b' x``.
     """
     x, alpha, q, lam = _split_flat(flat, d)
     u = q + 2.0 * lam @ amb.mu_hat
     su = amb.sigma_hat @ u
-    norm_val = math.sqrt(amb.kappa1 * float(u @ su) + mu)
-    base = _h1(x, alpha, q, lam, amb, model) + norm_val
-    s = samples.samples
-    losses = -(samples.xi_b @ x)
+    cols, npos = factor
+    r = cols.shape[1]
+    right = np.zeros((d + 1, r + 2))
+    right[:, :r] = cols
+    right[:, r] = q
+    right[:d, r + 1] = x
+    prod = samples.samples @ right
+    pos = prod[:, :npos]
+    quad = np.einsum("ij,ij->i", pos, pos)
+    if npos < r:
+        neg = prod[:, npos:r]
+        quad -= np.einsum("ij,ij->i", neg, neg)
+    quad += prod[:, r]
+    losses = -prod[:, r + 1]
     c = samples.xi_a + losses
     t = losses - alpha
-    quad = np.sum((s @ lam) * s, axis=1) + s @ q
-    plus, tail = _plus_and_tail(t, mu)
-    vals = base + smooth_psi(c, mu, model.psi) - quad + model.cvar_coef * plus
+    return _Parts(_h1(x, alpha, q, lam, amb, model), float(u @ su), su, quad, c, t)
+
+
+def _at_level(parts: _Parts, mu: float, amb, model) -> _Smoothed:
+    """The O(N) stage: components and log-sum-exp at level ``mu``.
+
+    The log-sum-exp, taken against the running maximum, brackets the
+    largest component within ``mu * log(N)``.
+    """
+    norm_val = math.sqrt(amb.kappa1 * parts.usu + mu)
+    plus, tail = _plus_and_tail(parts.t, mu)
+    vals = (
+        parts.h1
+        + norm_val
+        + smooth_psi(parts.c, mu, model.psi)
+        - parts.quad
+        + model.cvar_coef * plus
+    )
     top = float(vals.max())
     spread = np.exp((vals - top) / mu)
     spread_sum = float(spread.sum())
     value = top + mu * math.log(spread_sum)
-    return _Smoothed(value, vals, spread, spread_sum, c, t, tail, norm_val, su)
+    return _Smoothed(parts, value, vals, spread, spread_sum, tail, norm_val)
+
+
+def _smooth(
+    flat: np.ndarray, factor, d: int, samples: SampleSet, mu: float, amb, model
+) -> _Smoothed:
+    """Smoothed components and objective at a flat dual vector, unchecked."""
+    return _at_level(_parts(flat, factor, d, samples, amb, model), mu, amb, model)
 
 
 def _gradient(
@@ -158,29 +214,40 @@ def _gradient(
     """Flat gradient of the smoothed objective from its components ``at``.
 
     The gradient is the softmax-weighted combination of the component
-    gradients.  The matrix block is symmetrised so ascent directions
-    stay inside the symmetric matrices that the feasible set uses.
+    gradients.  ``s' w`` and ``xi_b' v`` come from one two-column
+    product and the weighted Gram ``s' diag(w) s`` from one symmetric
+    rank-k update of ``sqrt(w) s``.  The matrix block is symmetrised
+    so ascent directions stay inside the symmetric matrices that the
+    feasible set uses.
     """
     x = flat[:d]
     s = samples.samples
     mu_hat = amb.mu_hat
+    parts = at.parts
     weights = at.spread / at.spread_sum
     weights[weights < WEIGHT_FLUSH] = 0.0
 
     # logistic(t / mu), from the tail exp(-|t| / mu) that cannot overflow
-    sig = np.where(at.t >= 0.0, 1.0, at.tail) / (1.0 + at.tail)
-    psi_prime = _smooth_psi_prime(at.c, mu, model.psi)
+    sig = np.where(parts.t >= 0.0, 1.0, at.tail) / (1.0 + at.tail)
+    psi_prime = _smooth_psi_prime(parts.c, mu, model.psi)
     coef = model.cvar_coef
 
-    gx = 2.0 * model.tau1 * x - samples.xi_b.T @ (weights * (psi_prime + coef * sig))
+    pair = np.empty((s.shape[0], 2))
+    pair[:, 0] = weights
+    np.multiply(weights, psi_prime + coef * sig, out=pair[:, 1])
+    sums = s.T @ pair
+    scaled = s * np.sqrt(weights)[:, None]
+    gram = scaled.T @ scaled
+
+    gx = 2.0 * model.tau1 * x - sums[:d, 1]
     galpha = model.tau2 - coef * float(weights @ sig)
-    g_norm = (amb.kappa1 / at.norm_val) * at.su
-    gq = mu_hat + g_norm - s.T @ weights
+    g_norm = (amb.kappa1 / at.norm_val) * parts.su
+    gq = mu_hat + g_norm - sums[:, 0]
     glam = (
         amb.kappa2 * amb.sigma_hat
         + np.outer(mu_hat, mu_hat)
         + 2.0 * np.outer(g_norm, mu_hat)
-        - (s * weights[:, None]).T @ s
+        - gram
     )
     glam = 0.5 * (glam + glam.T)
     return np.concatenate([gx, [galpha], gq, glam.ravel()])
@@ -192,7 +259,8 @@ def _checked(nu: DualPoint, samples: SampleSet, mu, amb: AmbiguityParams, model:
     _check_sample_dim(samples.samples.shape[1], nu.dim, "samples")
     _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
     flat = nu.to_array()
-    return flat, mu, _smooth(flat, nu.dim, samples, mu, amb, model)
+    factor = _eigen_factor(0.5 * (nu.lam + nu.lam.T))
+    return flat, mu, _smooth(flat, factor, nu.dim, samples, mu, amb, model)
 
 
 def smooth_h_values(

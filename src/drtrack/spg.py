@@ -14,7 +14,9 @@ line search's range, and backtracks monotonically from there.
 :func:`spg_solve` validates and projects the start point once on
 entry and builds one :class:`DualPoint` on exit.  In between it works
 on one flat vector ``(x | alpha | q | vec(lam))``; the gradient at an
-accepted trial reuses the smoothed components that trial computed.  A
+accepted trial reuses the smoothed components that trial computed, and
+a new smoothing level re-runs only the kernel's O(N) stage on that
+trial's mu-free parts.  A
 non-finite smoothed gradient, or a line search that fails on a
 non-finite trial value, raises :class:`NumericalError`.
 """
@@ -38,8 +40,13 @@ from .model import (
     evaluate_phi_n,
     var_threshold,
 )
-from .projections import _project_flat, project_feasible
-from .smoothing import SmoothingParam, _gradient, _smooth, _Smoothed, grad_smooth_phi, smooth_phi
+from .projections import _project_flat
+from .smoothing import _at_level, _checked, _gradient, _smooth, _Smoothed, grad_smooth_phi
+
+# perfbench/layers.py wraps these names on this module to trace the
+# calls made through it; the solver itself runs on the flat kernels.
+from .projections import project_feasible  # noqa: F401
+from .smoothing import smooth_phi  # noqa: F401
 
 __all__ = [
     "SpgParams",
@@ -177,7 +184,7 @@ def default_start(samples: SampleSet, model: ModelParams) -> DualPoint:
 
 def _residual(y: np.ndarray, g: np.ndarray, d: int) -> float:
     """Norm of the unit-step projected-gradient displacement at flat ``y``."""
-    return float(np.linalg.norm(_project_flat(y - g, d) - y))
+    return float(np.linalg.norm(_project_flat(y - g, d)[0] - y))
 
 
 def stationarity_residual(
@@ -224,8 +231,8 @@ def _armijo_flat(
     trial value raises :class:`NumericalError` naming outer iteration ``k``.
     """
     for backtracks in range(spg.max_backtracks + 1):
-        cand = _project_flat(y - stepsize * g, d)
-        at = _smooth(cand, d, samples, mu, amb, model)
+        cand, factor = _project_flat(y - stepsize * g, d)
+        at = _smooth(cand, factor, d, samples, mu, amb, model)
         if at.value <= fy + spg.sigma * float(g @ (cand - y)):
             return cand, at, stepsize, backtracks
         stepsize *= spg.rho
@@ -248,15 +255,14 @@ def armijo_search(
     against the projected step passes; reports a stall after
     ``max_backtracks`` rejections instead of looping forever.
     """
-    mu = mu.mu if isinstance(mu, SmoothingParam) else float(mu)
-    fy = smooth_phi(y, samples, mu, amb, model)
-    grad = grad_smooth_phi(y, samples, mu, amb, model)
-    point, at, stepsize, backtracks = _armijo_flat(
-        y.to_array(), fy, grad.to_array(), spg.alpha0, y.dim, mu, samples, amb, model, spg
+    flat, mu, at = _checked(y, samples, mu, amb, model)
+    grad = _gradient(flat, y.dim, at, samples, mu, amb, model)
+    point, trial, stepsize, backtracks = _armijo_flat(
+        flat, at.value, grad, spg.alpha0, y.dim, mu, samples, amb, model, spg
     )
-    if at is None:
-        return ArmijoStep(y, fy, stepsize, backtracks, True)
-    return ArmijoStep(DualPoint.from_array(point, y.dim), at.value, stepsize, backtracks, False)
+    if trial is None:
+        return ArmijoStep(y, at.value, stepsize, backtracks, True)
+    return ArmijoStep(DualPoint.from_array(point, y.dim), trial.value, stepsize, backtracks, False)
 
 
 def spg_solve(
@@ -285,8 +291,7 @@ def spg_solve(
         )
     _check_sample_dim(amb.dim, d, "ambiguity parameters")
     start_time = time.perf_counter()
-    nu = project_feasible(nu0)
-    y = nu.to_array()
+    y, factor = _project_flat(nu0.to_array(), d)
     mu_k = spg.mu0
     grad_evals = 0
     inner_total = 0
@@ -309,10 +314,11 @@ def spg_solve(
             raise _not_finite("gradient", mu_k, k)
         return g
 
-    if trace is not None:
-        _trace_point(smooth_phi(nu, samples, mu_k, amb, model))
+    # ``at`` always holds the kernel result at ``y``; a new smoothing
+    # level re-runs only its O(N) stage on the stored mu-free parts.
+    at = _smooth(y, factor, d, samples, mu_k, amb, model)
+    _trace_point(at.value)
     for k in range(spg.max_outer_iters):
-        at = _smooth(y, d, samples, mu_k, amb, model)
         g = gradient(y, at, k)
         residual = _residual(y, g, d)
         if residual <= spg.epsilon and mu_k <= spg.mu_stop:
@@ -352,10 +358,10 @@ def spg_solve(
             outer_done = k + 1
             break
         mu_k = max(spg.omega * mu_k, _MU_MIN)
+        at = _at_level(at.parts, mu_k, amb, model)
         outer_done = k + 1
 
     if status != STATUS_CONVERGED:
-        at = _smooth(y, d, samples, mu_k, amb, model)
         residual = _residual(y, gradient(y, at, outer_done), d)
     nu = DualPoint.from_array(y, d)
     objective, _ = evaluate_phi_n(nu, samples, amb, model)

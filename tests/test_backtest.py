@@ -307,9 +307,10 @@ def test_report_to_dict_schema_and_rounding():
     doc = report_to_dict(report, config)
     assert set(doc) == {
         "model", "tau1", "tau2", "window", "hold", "t_bar", "tei", "teo",
-        "sigma2", "sharpe", "turnover", "cpu_seconds", "per_window",
+        "sigma2", "sharpe", "turnover", "cpu_seconds", "status_counts", "per_window",
     }
     assert doc["model"] == "te-l2" and doc["t_bar"] == 4
+    assert doc["status_counts"] == {"converged": 4, "iteration-cap": 0, "stalled": 0}
     assert len(doc["per_window"]) == 4
     for row, window in zip(doc["per_window"], report.windows):
         assert set(row) == {

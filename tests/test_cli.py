@@ -229,6 +229,21 @@ def test_backtest_strict_returns_4(quiet_csv, tmp_path, capsys):
     assert "windows did not converge" in captured.err
 
 
+def test_backtest_reports_status_counts(quiet_csv, tmp_path, capsys):
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"spg.max_outer_iters": 1}))
+    rc = main(["backtest", "--data", quiet_csv, "--model", "drcvar-l2", *FAST,
+               "--window", "30", "--hold", "15", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    # without --strict a run whose every window hit the cap still exits 0,
+    # but says so on stderr and in the report
+    assert rc == 0
+    doc = json.loads(captured.out)
+    assert doc["status_counts"] == {"converged": 0, "iteration-cap": 2, "stalled": 0}
+    assert [w["status"] for w in doc["per_window"]] == ["iteration-cap"] * 2
+    assert captured.err == "2 windows: 0 converged, 2 iteration-cap, 0 stalled\n"
+
+
 def test_grid_search_cli(market_csv, capsys):
     rc = main(["grid-search", "--data", market_csv, "--model", "te-l2",
                "--window", "20", "--hold", "10", "--grid", "0,2e-4",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import random_dual_point
 from drtrack.errors import InvalidInputError
-from drtrack.projections import project_feasible, project_psd, project_simplex
+from drtrack.projections import _project_flat, project_feasible, project_psd, project_simplex
 
 
 def _flat(nu):
@@ -111,3 +111,13 @@ def test_project_feasible_blocks():
     assert out.alpha == nu.alpha
     assert np.array_equal(out.q, nu.q)
     assert np.linalg.eigvalsh(out.lam).min() >= -1e-10
+
+
+def test_project_flat_returns_the_factor_of_its_psd_block():
+    rng = np.random.default_rng(13)
+    for d in (2, 5, 8):
+        for _ in range(5):
+            flat, (cols, rank) = _project_flat(random_dual_point(rng, d).to_array(), d)
+            lam = flat[2 * d + 2 :].reshape(d + 1, d + 1)
+            assert rank == cols.shape[1] and 0 < rank <= d + 1
+            assert np.max(np.abs(cols @ cols.T - lam)) <= 1e-12

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from helpers import gaussian_instance, random_dual_point
 from drtrack.errors import InvalidInputError
-from drtrack.model import DualPoint, PsiKind, SampleSet, evaluate_h
-from drtrack.projections import project_feasible
+from drtrack.model import DualPoint, PsiKind, SampleSet, evaluate_h, h_values
+from drtrack.projections import _project_flat, project_feasible
 from drtrack.smoothing import (
     SmoothingParam,
     grad_smooth_phi,
@@ -19,6 +19,8 @@ from drtrack.smoothing import (
     smooth_phi,
     smooth_plus,
     smooth_psi,
+    _at_level,
+    _smooth,
 )
 
 
@@ -159,3 +161,35 @@ def test_grad_smooth_phi_lam_block_is_symmetric():
         nu = project_feasible(random_dual_point(rng, 3))
         grad = grad_smooth_phi(nu, samples, 1e-2, amb, model)
         assert np.max(np.abs(grad.lam - grad.lam.T)) <= 1e-14
+
+
+def test_smooth_h_values_match_dense_reference_for_indefinite_lam():
+    # random points carry an indefinite, non-symmetric lam; the kernel
+    # reaches it through a signed eigen-factor of its symmetric part
+    rng = np.random.default_rng(71)
+    samples, amb, model = gaussian_instance(21, d=4, n=40, scale=0.5, psi=PsiKind.SQUARED)
+    for _ in range(10):
+        nu = random_dual_point(rng, 4)
+        assert np.linalg.eigvalsh(0.5 * (nu.lam + nu.lam.T)).min() < 0.0
+        smooth = smooth_h_values(nu, samples, 1e-12, amb, model)
+        exact = h_values(nu, samples, amb, model)
+        assert np.max(np.abs(smooth - exact)) <= 1e-9
+
+
+def test_mu_stage_on_stored_parts_equals_a_fresh_pass():
+    rng = np.random.default_rng(83)
+    for kind in (PsiKind.SQUARED, PsiKind.ABSOLUTE):
+        samples, amb, model = gaussian_instance(
+            23, d=3, n=25, scale=0.5, tau1=0.1, tau2=0.05, beta=0.9, psi=kind
+        )
+        flat, factor = _project_flat(random_dual_point(rng, 3).to_array(), 3)
+        at = _smooth(flat, factor, 3, samples, 1.0, amb, model)
+        for mu in (0.5, 1e-3, 1e-9):
+            again = _at_level(at.parts, mu, amb, model)
+            fresh = _smooth(flat, factor, 3, samples, mu, amb, model)
+            assert again.value == fresh.value
+            assert again.spread_sum == fresh.spread_sum
+            assert again.norm_val == fresh.norm_val
+            for name in ("vals", "spread", "tail"):
+                assert np.array_equal(getattr(again, name), getattr(fresh, name))
+            at = again

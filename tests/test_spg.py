@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_instance, tracking_instance, vertex_start
+from drtrack import smoothing
+from drtrack import spg as spg_module
 from drtrack.errors import InvalidInputError, NumericalError
 from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
 from drtrack.model import AmbiguityParams, DualPoint, ModelParams, SampleSet, evaluate_phi_n, var_threshold
@@ -184,6 +186,30 @@ def test_spg_builds_constant_number_of_dual_points(monkeypatch):
     assert res.inner_iters >= 50
     # the projected start and the returned point; none per step or trial
     assert len(built) <= 2
+
+
+def test_one_kernel_pass_per_point(monkeypatch):
+    samples, amb, model = tracking_instance(1)
+    real = smoothing._smooth
+    passes = []
+
+    def counting(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(smoothing, "_smooth", counting)
+    monkeypatch.setattr(spg_module, "_smooth", counting)
+    # the start point's value and gradient share one pass; one per trial
+    step = armijo_search(vertex_start(3), 1e-2, samples, amb, model)
+    assert len(passes) == 1 + step.backtracks + 1
+    # a solve makes one pass at the start, traced or not, and one per
+    # trial; new smoothing levels and the final residual reuse them
+    for record in (False, True):
+        passes.clear()
+        res = spg_solve(vertex_start(3), samples, amb, model,
+                        SpgParams(max_outer_iters=8), record_trace=record)
+        assert res.outer_iters == 8
+        assert len(passes) == 1 + res.trials
 
 
 def test_spectral_first_trial_rule():
