@@ -59,7 +59,6 @@ from .model import (
 )
 from .projections import project_feasible, project_psd, project_simplex
 from .smoothing import (
-    SmoothingParam,
     grad_smooth_phi,
     smooth_abs,
     smooth_h,
@@ -93,7 +92,6 @@ __all__ = [
     "PsiKind",
     "ReturnPanel",
     "SampleSet",
-    "SmoothingParam",
     "SolveResult",
     "SpgParams",
     "armijo_search",

@@ -61,7 +61,10 @@ TAU_GRID = (0.0, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3)
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Protocol geometry plus the solver configuration for one model."""
+    """Protocol geometry plus the solver configuration for one model.
+
+    Construction sets ``model.psi`` from the id (absolute for ``*-l1``).
+    """
 
     model_id: str
     model: ModelParams
@@ -81,11 +84,8 @@ class BacktestConfig:
             raise InvalidInputError("window must be at least 2")
         if self.hold < 1:
             raise InvalidInputError("hold must be at least 1")
-
-    def effective_model(self) -> ModelParams:
-        """Model parameters with the penalty shape implied by the id."""
         psi = PsiKind.ABSOLUTE if self.model_id.endswith("-l1") else PsiKind.SQUARED
-        return replace(self.model, psi=psi)
+        object.__setattr__(self, "model", replace(self.model, psi=psi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +282,7 @@ def solve_model(
     ``scvar-*`` :func:`scvar_solve` and ``te-l2`` :func:`te_l2_solve`,
     which records no trace.
     """
-    model = config.effective_model()
+    model = config.model
     samples = build_sample_set(panel, start, stop)
     if config.model_id.startswith("drcvar"):
         moments = estimate_moments(panel, start, stop)
@@ -299,8 +299,8 @@ def solve_model(
     if config.model_id.startswith("scvar"):
         result = scvar_solve(samples, model, config.baseline, record_trace)
         return ModelFit(result.x, result.status, result.objective, result)
-    x, objective = te_l2_solve(samples, model.tau1)
-    return ModelFit(x, "converged", objective, None)
+    x, objective, status = te_l2_solve(samples, model.tau1)
+    return ModelFit(x, status, objective, None)
 
 
 def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
@@ -353,9 +353,18 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
 
 @dataclass(frozen=True)
 class GridEntry:
-    tau1: float
-    tau2: float
+    """One grid point: its configuration and its backtest report."""
+
+    config: BacktestConfig
     report: BacktestReport
+
+    @property
+    def tau1(self) -> float:
+        return self.config.model.tau1
+
+    @property
+    def tau2(self) -> float:
+        return self.config.model.tau2
 
 
 @dataclass(frozen=True)
@@ -390,7 +399,7 @@ def grid_search(
     def run_point(pair: tuple[float, float]) -> GridEntry:
         tau1, tau2 = pair
         point_config = replace(config, model=replace(config.model, tau1=tau1, tau2=tau2))
-        return GridEntry(tau1=tau1, tau2=tau2, report=run_backtest(panel, point_config))
+        return GridEntry(config=point_config, report=run_backtest(panel, point_config))
 
     if threads == 1:
         rows = [run_point(pair) for pair in grid]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .model import ModelParams, PsiKind, SampleSet, var_threshold
 from .projections import project_simplex
-from .spg import SpgParams
+from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP, SpgParams
 
 __all__ = [
     "StepRule",
@@ -143,7 +143,7 @@ def scvar_solve(
     best_x, best_alpha, best_f = x, alpha, fx
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     armijo = params.step_rule is StepRule.ARMIJO
-    status = "iteration-cap"
+    status = STATUS_ITERATION_CAP
     iters = 0
     for k in range(params.max_iters):
         gx, galpha = _scvar_subgradient(x, alpha, samples, model)
@@ -176,7 +176,7 @@ def scvar_solve(
         if trace is not None:
             trace.append((time.perf_counter() - start_time, best_f))
         if displacement <= params.tolerance:
-            status = "converged"
+            status = STATUS_CONVERGED
             break
     return ScvarResult(
         x=best_x,
@@ -193,12 +193,14 @@ def te_l2_solve(
     tau1: float,
     max_iters: int = 10_000,
     tolerance: float = 1e-12,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, str]:
     """Least-squares tracker with ridge term over the simplex.
 
     Minimises ``mean((xi_a - xi_b @ x)^2) + tau1 * ||x||^2`` by
     projected gradient with a constant stepsize of one over the
-    gradient's Lipschitz constant.  Returns the weights and objective.
+    gradient's Lipschitz constant.  Returns the weights, the objective
+    and the status: ``converged`` once a step moves the weights by at
+    most ``tolerance``, ``iteration-cap`` after ``max_iters`` steps.
     """
     tau1 = float(tau1)
     if not (math.isfinite(tau1) and tau1 >= 0.0):
@@ -217,8 +219,10 @@ def te_l2_solve(
 
     lipschitz = 2.0 * (np.linalg.norm(xb, 2) ** 2 / n + tau1)
     if lipschitz <= 0.0:
-        return x, objective(x)
+        # all-zero asset returns and no ridge: every weight vector is optimal
+        return x, objective(x), STATUS_CONVERGED
     stepsize = 1.0 / lipschitz
+    status = STATUS_ITERATION_CAP
     for _ in range(max_iters):
         r = xa - xb @ x
         grad = -2.0 * (xb.T @ r) / n + 2.0 * tau1 * x
@@ -226,5 +230,6 @@ def te_l2_solve(
         moved = float(np.linalg.norm(x_new - x))
         x = x_new
         if moved <= tolerance:
+            status = STATUS_CONVERGED
             break
-    return x, objective(x)
+    return x, objective(x), status

@@ -17,11 +17,12 @@ precedence.  Exit codes: 0 success, 2 usage or validation error,
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,11 @@ from .backtest import (
     run_backtest,
     solve_model,
 )
-from .baselines import BaselineParams, ScvarResult, StepRule
+from .baselines import BaselineParams, ScvarResult
 from .data import gen_synthetic, load_returns_csv, save_returns_csv
 from .errors import DataError, InvalidInputError, NumericalError
 from .model import ModelParams
-from .spg import SolveResult, SpgParams
+from .spg import STATUS_CONVERGED, SolveResult, SpgParams
 
 # perfbench/layers.py wraps these names on this module to trace the
 # calls made through it; the solvers themselves run in ``solve_model``.
@@ -53,38 +54,55 @@ __all__ = ["main"]
 # (cardinality/MILP/nonconvex formulations needing external solvers).
 UNAVAILABLE_MODELS = ("mixed01-lp", "te-l0", "lasso", "l2-lp")
 
-_SPG_DEFAULTS = SpgParams()
-_BASELINE_DEFAULTS = BaselineParams()
-_BACKTEST_DEFAULTS = {f.name: f.default for f in fields(BacktestConfig)}
+_DEFAULTS = BacktestConfig(MODEL_IDS[0], ModelParams())
 
-# Solver, baseline and protocol values are the dataclass defaults.
+# Config sections: the dataclass instance holding each section's defaults
+# and the fields its keys name.  ``model.psi`` is no key, since
+# BacktestConfig sets it from the model id.
+_SECTIONS = {
+    "model": (_DEFAULTS.model, ("tau1", "tau2", "beta")),
+    "ambiguity": (_DEFAULTS, ("kappa1", "kappa2")),
+    "spg": (_DEFAULTS.spg, tuple(f.name for f in fields(SpgParams))),
+    "baseline": (_DEFAULTS.baseline, tuple(f.name for f in fields(BaselineParams))),
+    "backtest": (_DEFAULTS, ("window", "hold")),
+}
+
+# Each key's default, typed as the dataclass holds it.
+_TYPED_DEFAULTS: dict[str, object] = {
+    f"{section}.{name}": getattr(owner, name)
+    for section, (owner, names) in _SECTIONS.items()
+    for name in names
+}
+
+# The same defaults as a config file writes them (enum members by value).
 CONFIG_DEFAULTS: dict[str, object] = {
-    "model.tau1": 2e-4,
-    "model.tau2": 2e-4,
-    "model.beta": 0.95,
-    "ambiguity.kappa1": _BACKTEST_DEFAULTS["kappa1"],
-    "ambiguity.kappa2": _BACKTEST_DEFAULTS["kappa2"],
-    **{f"spg.{f.name}": getattr(_SPG_DEFAULTS, f.name) for f in fields(SpgParams)},
-    "baseline.max_iters": _BASELINE_DEFAULTS.max_iters,
-    "baseline.step_rule": _BASELINE_DEFAULTS.step_rule.value,
-    "baseline.tolerance": _BASELINE_DEFAULTS.tolerance,
-    "backtest.window": _BACKTEST_DEFAULTS["window"],
-    "backtest.hold": _BACKTEST_DEFAULTS["hold"],
+    key: value.value if isinstance(value, enum.Enum) else value
+    for key, value in _TYPED_DEFAULTS.items()
 }
 
-# Flag destinations that override config keys when provided.
-_FLAG_TO_KEY = {
-    "tau1": "model.tau1",
-    "tau2": "model.tau2",
-    "beta": "model.beta",
-    "kappa1": "ambiguity.kappa1",
-    "kappa2": "ambiguity.kappa2",
-    "window": "backtest.window",
-    "hold": "backtest.hold",
-}
+
+def _typed(key: str, value):
+    """``value`` checked against the type of the key's default and cast to it."""
+    default = _TYPED_DEFAULTS[key]
+    if isinstance(default, enum.Enum):
+        members = [member.value for member in type(default)]
+        if not (isinstance(value, str) and value.lower() in members):
+            choices = ", ".join(map(repr, members))
+            raise InvalidInputError(f"{key} must be one of {choices}, got {value!r}")
+        return type(default)(value.lower())
+    allowed = (int,) if isinstance(default, int) else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise InvalidInputError(f"{key} must be {kind}, got {value!r}")
+    return type(default)(value)
 
 
 def _effective_config(args: argparse.Namespace) -> dict[str, object]:
+    """Typed values of every key: defaults, then the config file, then flags.
+
+    A flag overrides the key whose field it names (``--tau1`` sets
+    ``model.tau1``).
+    """
     cfg = dict(CONFIG_DEFAULTS)
     path = getattr(args, "config", None)
     if path is not None:
@@ -100,52 +118,27 @@ def _effective_config(args: argparse.Namespace) -> dict[str, object]:
         if unknown:
             raise InvalidInputError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(loaded)
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr, None)
+    for key in cfg:
+        value = getattr(args, key.split(".")[1], None)
         if value is not None:
             cfg[key] = value
-    return cfg
-
-
-def _model_params(cfg: dict[str, object]) -> ModelParams:
-    return ModelParams(
-        tau1=float(cfg["model.tau1"]),
-        tau2=float(cfg["model.tau2"]),
-        beta=float(cfg["model.beta"]),
-    )
-
-
-def _spg_params(cfg: dict[str, object]) -> SpgParams:
-    # Each value is cast to the type of its default (float or int).
-    names = [f.name for f in fields(SpgParams)]
-    return SpgParams(**{n: type(getattr(_SPG_DEFAULTS, n))(cfg[f"spg.{n}"]) for n in names})
-
-
-def _baseline_params(cfg: dict[str, object]) -> BaselineParams:
-    rule = str(cfg["baseline.step_rule"]).lower()
-    try:
-        step_rule = StepRule(rule)
-    except ValueError:
-        raise InvalidInputError(
-            f"baseline.step_rule must be 'armijo' or 'diminishing', got {rule!r}"
-        ) from None
-    return BaselineParams(
-        max_iters=int(cfg["baseline.max_iters"]),
-        step_rule=step_rule,
-        tolerance=float(cfg["baseline.tolerance"]),
-    )
+    return {key: _typed(key, value) for key, value in cfg.items()}
 
 
 def _backtest_config(cfg: dict[str, object], model_id: str) -> BacktestConfig:
+    """The BacktestConfig of ``model_id`` built from the typed keys ``cfg``."""
+
+    def section(name: str) -> dict[str, object]:
+        _, names = _SECTIONS[name]
+        return {field: cfg[f"{name}.{field}"] for field in names}
+
     return BacktestConfig(
-        model_id=model_id,
-        model=_model_params(cfg),
-        window=int(cfg["backtest.window"]),
-        hold=int(cfg["backtest.hold"]),
-        kappa1=float(cfg["ambiguity.kappa1"]),
-        kappa2=float(cfg["ambiguity.kappa2"]),
-        spg=_spg_params(cfg),
-        baseline=_baseline_params(cfg),
+        model_id,
+        model=ModelParams(**section("model")),
+        spg=SpgParams(**section("spg")),
+        baseline=BaselineParams(**section("baseline")),
+        **section("ambiguity"),
+        **section("backtest"),
     )
 
 
@@ -224,7 +217,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if want_trace and result.trace is not None:
         _write_trace(args.trace_out, result.trace)
     _emit_json(doc, args.out)
-    if args.strict and fit.status != "converged":
+    if args.strict and fit.status != STATUS_CONVERGED:
         print(f"solver did not converge: status={fit.status}", file=sys.stderr)
         return 4
     return 0
@@ -239,7 +232,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     counts = ", ".join(f"{n} {status}" for status, n in report.status_counts.items())
     print(f"{report.t_bar} windows: {counts}", file=sys.stderr)
     if args.strict:
-        bad = [w.t for w in report.windows if w.status != "converged"]
+        bad = [w.t for w in report.windows if w.status != STATUS_CONVERGED]
         if bad:
             print(f"windows did not converge: {bad}", file=sys.stderr)
             return 4
@@ -263,14 +256,8 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     config = _backtest_config(cfg, args.model)
     panel = load_returns_csv(args.data)
     result = grid_search(panel, config, grid=_parse_grid(args.grid), threads=args.threads)
-    rows = []
-    for entry in result.rows:
-        entry_config = replace(
-            config, model=replace(config.model, tau1=entry.tau1, tau2=entry.tau2)
-        )
-        rows.append(report_to_dict(entry.report, entry_config))
     doc = {
-        "rows": rows,
+        "rows": [report_to_dict(entry.report, entry.config) for entry in result.rows],
         "best": {
             "tau1": result.best.tau1,
             "tau2": result.best.tau2,
@@ -283,6 +270,10 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
         f"tau2={result.best.tau2:g} teo={result.best.report.teo:.6g}"
     )
     return 0
+
+
+# Row keys of the comparison table after the model id, in column order.
+_COMPARE_COLUMNS = ("tau1", "tau2", "tei", "teo", "sigma2", "sharpe", "turnover", "cpu_seconds")
 
 
 def _fmt(value: float | None) -> str:
@@ -307,20 +298,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
         config = _backtest_config(cfg, model_id)
         report = run_backtest(panel, config)
-        rows.append(
-            {
-                "model": model_id,
-                "status": "ok",
-                "tau1": config.model.tau1,
-                "tau2": config.model.tau2,
-                "tei": report.tei,
-                "teo": report.teo,
-                "sigma2": report.sigma2,
-                "sharpe": report.sharpe,
-                "turnover": report.turnover,
-                "cpu_seconds": report.cpu_seconds,
-            }
-        )
+        taus = {"tau1": config.model.tau1, "tau2": config.model.tau2}
+        metrics = {key: getattr(report, key) for key in _COMPARE_COLUMNS[2:]}
+        rows.append({"model": model_id, "status": "ok", **taus, **metrics})
     _emit_json({"rows": rows}, args.out)
     header = ("model", "tau1", "tau2", "TEI", "TEO", "sigma2", "SR", "TO", "CPU_s")
     table = [header]
@@ -328,19 +308,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if row.get("status") == "unavailable":
             table.append((row["model"], "unavailable", "", "", "", "", "", "", ""))
         else:
-            table.append(
-                (
-                    row["model"],
-                    _fmt(row["tau1"]),
-                    _fmt(row["tau2"]),
-                    _fmt(row["tei"]),
-                    _fmt(row["teo"]),
-                    _fmt(row["sigma2"]),
-                    _fmt(row["sharpe"]),
-                    _fmt(row["turnover"]),
-                    _fmt(row["cpu_seconds"]),
-                )
-            )
+            table.append((row["model"], *(_fmt(row[key]) for key in _COMPARE_COLUMNS)))
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,12 +102,12 @@ class ModelParams:
 
     ``tau1`` scales the squared-norm ridge on the weights, ``tau2``
     scales the CVaR penalty at level ``beta``, and ``psi`` selects the
-    per-sample tracking penalty.
+    per-sample tracking penalty.  The defaults are the CLI's.
     """
 
-    tau1: float
-    tau2: float
-    beta: float
+    tau1: float = 2e-4
+    tau2: float = 2e-4
+    beta: float = 0.95
     psi: PsiKind = PsiKind.SQUARED
 
     def __post_init__(self) -> None:
@@ -135,14 +135,13 @@ class AmbiguityParams:
     ``(m - mu_hat)' inv(sigma_hat) (m - mu_hat) <= kappa1`` and their
     centered second moment is dominated by ``kappa2 * sigma_hat`` in
     the semidefinite order.  ``sigma_hat`` must be symmetric positive
-    definite; its symmetric square root is cached on construction.
+    definite.
     """
 
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
     kappa1: float
     kappa2: float
-    sigma_hat_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mu = _readonly_vector(self.mu_hat, "mu_hat")
@@ -157,22 +156,15 @@ class AmbiguityParams:
             raise InvalidInputError("kappa1 must be nonnegative")
         if kappa2 <= 0:
             raise InvalidInputError("kappa2 must be positive")
-        eigvals, eigvecs = np.linalg.eigh(sig)
-        if eigvals.min() <= 0:
+        smallest = float(np.linalg.eigvalsh(sig)[0])
+        if smallest <= 0:
             raise InvalidInputError(
-                f"sigma_hat must be positive definite (min eigenvalue {eigvals.min():.3e})"
+                f"sigma_hat must be positive definite (min eigenvalue {smallest:.3e})"
             )
-        root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-        root = 0.5 * (root + root.T)
-        err = float(np.linalg.norm(root @ root - sig))
-        if err > 1e-8 * max(1.0, float(np.linalg.norm(sig))):
-            raise InvalidInputError("failed to compute a reliable square root of sigma_hat")
-        root.setflags(write=False)
         object.__setattr__(self, "mu_hat", mu)
         object.__setattr__(self, "sigma_hat", sig)
         object.__setattr__(self, "kappa1", kappa1)
         object.__setattr__(self, "kappa2", kappa2)
-        object.__setattr__(self, "sigma_hat_sqrt", root)
 
     @property
     def dim(self) -> int:

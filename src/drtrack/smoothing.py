@@ -31,7 +31,6 @@ weighted Gram ``sum_i w_i xi_i xi_i'`` as a symmetric rank-k update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +49,6 @@ from .model import (
 from .projections import _eigen_factor
 
 __all__ = [
-    "SmoothingParam",
     "smooth_plus",
     "smooth_abs",
     "smooth_psi",
@@ -65,19 +63,7 @@ __all__ = [
 WEIGHT_FLUSH = 1e-300
 
 
-@dataclass(frozen=True)
-class SmoothingParam:
-    """Validated carrier for a smoothing level ``mu > 0``."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _mu_value(self.mu))
-
-
 def _mu_value(mu) -> float:
-    if isinstance(mu, SmoothingParam):
-        return mu.mu
     value = float(mu)
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidInputError(f"mu must be a positive finite float, got {mu!r}")

@@ -44,7 +44,7 @@ def fitted_weights(panel, t_bar, seed=0):
     return rng.dirichlet(np.ones(panel.n_assets), size=t_bar)
 
 
-def test_config_validation_and_effective_model():
+def test_config_validation_and_psi_from_model_id():
     with pytest.raises(InvalidInputError):
         BacktestConfig(model_id="mystery", model=MODEL)
     with pytest.raises(InvalidInputError):
@@ -54,8 +54,8 @@ def test_config_validation_and_effective_model():
     for model_id in MODEL_IDS:
         cfg = BacktestConfig(model_id=model_id, model=MODEL)
         expected = PsiKind.ABSOLUTE if model_id.endswith("-l1") else PsiKind.SQUARED
-        assert cfg.effective_model().psi is expected
-        assert cfg.effective_model().tau1 == MODEL.tau1
+        assert cfg.model.psi is expected
+        assert cfg.model.tau1 == MODEL.tau1
 
 
 def test_transition_weights_hand_example():

@@ -14,6 +14,7 @@ from drtrack.baselines import (
 )
 from drtrack.errors import InvalidInputError
 from drtrack.model import ModelParams, PsiKind, SampleSet, var_threshold
+from drtrack.spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 
 def test_baseline_params_validation():
@@ -90,14 +91,14 @@ def test_scvar_with_zero_cvar_weight_matches_te_l2():
     samples, _, model = gaussian_instance(8, d=3, n=30, scale=0.01,
                                           tau1=1e-3, tau2=0.0, beta=0.9)
     sub = scvar_solve(samples, model, BaselineParams(max_iters=20_000))
-    x_pg, f_pg = te_l2_solve(samples, model.tau1)
+    x_pg, f_pg, _ = te_l2_solve(samples, model.tau1)
     assert sub.objective == pytest.approx(f_pg, rel=5e-4, abs=1e-10)
 
 
 def test_te_l2_matches_dense_scan_in_two_dimensions():
     samples, _, _ = gaussian_instance(9, d=2, n=40, scale=0.02)
     for tau1 in (0.0, 1e-3):
-        x, value = te_l2_solve(samples, tau1)
+        x, value, _ = te_l2_solve(samples, tau1)
         assert x.shape == (2,) and x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
         weights = np.linspace(0.0, 1.0, 20_001)
@@ -116,7 +117,7 @@ def test_te_l2_perfect_replication_is_exact():
     index = rng.normal(0.0, 0.01, 60)
     other = rng.normal(0.0, 0.01, 60)
     samples = SampleSet(samples=np.column_stack([index, other, index]))
-    x, value = te_l2_solve(samples, 0.0)
+    x, value, _ = te_l2_solve(samples, 0.0)
     assert value <= 1e-12
     assert x[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -127,3 +128,11 @@ def test_te_l2_validation():
         te_l2_solve(samples, -1e-9)
     with pytest.raises(InvalidInputError):
         te_l2_solve(samples, 0.0, max_iters=0)
+
+
+def test_te_l2_status_comes_from_its_displacement_test():
+    samples, _, _ = gaussian_instance(11, d=3, n=30, scale=0.01)
+    _, _, status = te_l2_solve(samples, 0.0, max_iters=1)
+    assert status == STATUS_ITERATION_CAP
+    _, _, status = te_l2_solve(samples, 1e-3)
+    assert status == STATUS_CONVERGED

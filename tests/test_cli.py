@@ -205,6 +205,41 @@ def test_config_errors(market_csv, tmp_path, capsys):
     assert main(["solve", "--data", market_csv, "--model", "scvar-l2",
                  "--config", str(bad_rule)]) == 2
     capsys.readouterr()
+    # values of the wrong type for their key's default are rejected, not coerced
+    panel = tmp_path / "panel.csv"
+    assert main(["gen-data", "--assets", "3", "--days", "80", "--seed", "1",
+                 "--out", str(panel)]) == 0
+    for key, value in (("spg.n0", "x"), ("model.tau1", None),
+                       ("spg.max_outer_iters", 2.7), ("spg.max_outer_iters", True)):
+        mistyped = tmp_path / "mistyped.json"
+        mistyped.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert main(["solve", "--data", str(panel), "--model", "drcvar-l2",
+                     "--rows", "0:30", "--config", str(mistyped)]) == 2
+        assert key in capsys.readouterr().err
+
+
+def without_timing(doc):
+    timing = {"wall_seconds", "solve_seconds", "cpu_seconds"}
+    if isinstance(doc, dict):
+        return {k: without_timing(v) for k, v in doc.items() if k not in timing}
+    if isinstance(doc, list):
+        return [without_timing(v) for v in doc]
+    return doc
+
+
+def test_config_file_of_defaults_changes_nothing(quiet_csv, tmp_path, capsys):
+    defaults = tmp_path / "defaults.json"
+    defaults.write_text(json.dumps(CONFIG_DEFAULTS))
+    # drcvar-l2 reads the ambiguity and spg keys, scvar-l2 the model and
+    # baseline keys
+    for argv in (["solve", "--data", quiet_csv, "--model", "drcvar-l2", *FAST],
+                 ["backtest", "--data", quiet_csv, "--model", "scvar-l2",
+                  "--window", "30", "--hold", "15"]):
+        rc, plain = run_json(capsys, argv)
+        rc2, configured = run_json(capsys, argv + ["--config", str(defaults)])
+        assert rc == 0 and rc2 == 0
+        assert without_timing(configured) == without_timing(plain)
 
 
 def test_missing_data_file_returns_3(tmp_path, capsys):
@@ -283,6 +318,9 @@ def test_unavailable_model_list_is_fixed():
 
 
 def test_config_defaults_are_the_dataclass_defaults():
+    model = ModelParams()
+    for name in ("tau1", "tau2", "beta"):
+        assert CONFIG_DEFAULTS[f"model.{name}"] == getattr(model, name)
     spg = SpgParams()
     for field in fields(SpgParams):
         assert CONFIG_DEFAULTS[f"spg.{field.name}"] == getattr(spg, field.name)

@@ -72,14 +72,10 @@ def test_ambiguity_params_validation():
         AmbiguityParams(mu_hat=mu, sigma_hat=eye, kappa1=0.1, kappa2=0.0)
     with pytest.raises(InvalidInputError):
         AmbiguityParams(mu_hat=np.zeros(2), sigma_hat=eye, kappa1=0.1, kappa2=1.0)
-
-
-def test_ambiguity_params_square_root_cached():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(4, 4))
     sigma = base @ base.T + 0.5 * np.eye(4)
     amb = AmbiguityParams(mu_hat=np.zeros(4), sigma_hat=sigma, kappa1=0.1, kappa2=1.0)
-    assert np.linalg.norm(amb.sigma_hat_sqrt @ amb.sigma_hat_sqrt - sigma) < 1e-10
     assert amb.dim == 4
 
 
