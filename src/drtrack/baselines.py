@@ -1,15 +1,12 @@
 """Non-robust reference solvers used for comparisons and backtests.
 
-Two baselines are provided: the sample-average tracking model with a
-CVaR penalty, minimised jointly in the weights and the threshold by a
-projected subgradient method, and a plain least-squares tracker with a
-ridge term, minimised by constant-step projected gradient.  Both share
-the simplex feasible set of the robust model.
+The sample-average CVaR tracker is solved to a certified gap, the
+least-squares tracker with a ridge term by constant-step projected
+gradient.  Both share the simplex feasible set of the robust model.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import dataclass
@@ -17,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ModelParams, PsiKind, SampleSet, var_threshold
+from .model import ModelParams, PsiKind, SampleSet, psi_value, var_threshold
 from .projections import project_simplex
-from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP, SpgParams
+from .smoothing import _plus_and_tail, _smooth_psi_prime, smooth_psi
+from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 __all__ = [
-    "StepRule",
     "BaselineParams",
     "ScvarResult",
     "scvar_objective",
@@ -30,54 +27,39 @@ __all__ = [
     "te_l2_solve",
 ]
 
-# Armijo constants (alpha0, sigma, rho, max_backtracks) of the smoothing solver.
-_ARMIJO = SpgParams()
-
-# Base stepsize of the diminishing schedule a0 / sqrt(k + 1).
-_DIMINISHING_STEP0 = 1.0
-
-
-class StepRule(enum.Enum):
-    ARMIJO = "armijo"
-    DIMINISHING = "diminishing"
+# scvar_solve stops converged once (upper - lower) / |upper| is at most this.
+GAP_TOLERANCE = 1e-3
+# Newton on the smoothed threshold stops at this residual or this many steps.
+_THRESHOLD_TOLERANCE = 1e-12
+_THRESHOLD_STEPS = 64
+# Each iteration lowers the Lipschitz estimate by this factor before backtracking.
+_LIPSCHITZ_DECAY = 0.8
 
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Budget and stepsize policy for the baseline solvers.
-
-    Under the Armijo rule the subgradient method backtracks for
-    sufficient decrease and falls back to the diminishing schedule if
-    the search stalls; under the diminishing rule it uses
-    ``a0 / sqrt(k+1)`` from the start.  Iterations stop early when the
-    iterate displacement falls below ``tolerance``.
-    """
+    """Iteration budget of the sample-average CVaR solver."""
 
     max_iters: int = 50_000
-    step_rule: StepRule = StepRule.ARMIJO
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not isinstance(self.step_rule, StepRule):
-            raise InvalidInputError(f"step_rule must be a StepRule, got {self.step_rule!r}")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise InvalidInputError("tolerance must be a positive finite float")
 
 
 @dataclass(frozen=True)
 class ScvarResult:
-    """Best iterate found by the sample-average CVaR solver.
+    """Best iterate of the CVaR solver, ``alpha`` its loss quantile.
 
-    ``trace`` holds ``(cpu_seconds, objective)`` pairs, one per
-    iteration, recording the best objective seen so far; it is None
-    unless tracing was requested.
+    ``gap`` is ``(objective - lower_bound) / |objective|``.  ``trace``, if
+    requested, holds ``(cpu_seconds, best objective so far)`` per iteration.
     """
 
     x: np.ndarray
     alpha: float
     objective: float
+    lower_bound: float
+    gap: float
     iters: int
     status: str
     trace: tuple[tuple[float, float], ...] | None = None
@@ -87,40 +69,42 @@ def scvar_objective(x, alpha, samples: SampleSet, model: ModelParams) -> float:
     """Sample-average objective: mean tracking penalty, ridge, CVaR part."""
     x = np.asarray(x, dtype=float)
     if x.shape != (samples.n_assets,):
-        raise InvalidInputError(
-            f"x must have shape ({samples.n_assets},), got {x.shape}"
-        )
+        raise InvalidInputError(f"x must have shape ({samples.n_assets},), got {x.shape}")
     if not (np.isfinite(x).all() and math.isfinite(alpha)):
         raise InvalidInputError("x and alpha must be finite")
     losses = -(samples.xi_b @ x)
-    c = samples.xi_a + losses
-    if model.psi is PsiKind.SQUARED:
-        track = float(np.mean(np.square(c)))
-    else:
-        track = float(np.mean(np.abs(c)))
-    plus = np.maximum(losses - alpha, 0.0)
     return (
-        track
+        float(np.mean(psi_value(samples.xi_a + losses, model.psi)))
         + model.tau1 * float(x @ x)
         + model.tau2 * float(alpha)
-        + model.cvar_coef * float(np.mean(plus))
+        + model.cvar_coef * float(np.mean(np.maximum(losses - alpha, 0.0)))
     )
 
 
-def _scvar_subgradient(
-    x: np.ndarray, alpha: float, samples: SampleSet, model: ModelParams
-) -> tuple[np.ndarray, float]:
-    losses = -(samples.xi_b @ x)
-    c = samples.xi_a + losses
-    n = samples.n_samples
-    if model.psi is PsiKind.SQUARED:
-        psi_prime = 2.0 * c
-    else:
-        psi_prime = np.sign(c)  # zero on the kink
-    active = (losses - alpha > 0).astype(float)  # zero on the kink
-    gx = 2.0 * model.tau1 * x - samples.xi_b.T @ (psi_prime + model.cvar_coef * active) / n
-    galpha = model.tau2 - model.cvar_coef * float(active.mean())
-    return gx, galpha
+def _smoothed_threshold(losses: np.ndarray, alpha: float, mu: float, beta: float):
+    """Threshold minimising the smoothed CVaR part, by safeguarded Newton.
+
+    Returns the root of ``mean(logistic((losses - a) / mu)) = 1 - beta``,
+    bracketed by ``losses`` shifted by ``mu * log(beta / (1 - beta))``,
+    with the smoothed plus-parts and the logistic weights at it.
+    """
+    shift = mu * math.log(beta / (1.0 - beta))
+    lo, hi = float(losses.min()) + shift, float(losses.max()) + shift
+    alpha = min(max(alpha, lo), hi)
+    for _ in range(_THRESHOLD_STEPS):
+        plus, tail = _plus_and_tail(losses - alpha, mu)
+        # logistic((losses - alpha) / mu), from the tail that cannot overflow
+        sig = np.where(losses >= alpha, 1.0, tail) / (1.0 + tail)
+        excess = float(np.mean(sig)) - (1.0 - beta)
+        if abs(excess) <= _THRESHOLD_TOLERANCE:
+            break
+        lo, hi = (alpha, hi) if excess > 0.0 else (lo, alpha)
+        slope = float(np.mean(sig * (1.0 - sig))) / mu
+        new = alpha + excess / slope if slope > 0.0 else hi
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        alpha = new
+    return alpha, plus, sig
 
 
 def scvar_solve(
@@ -129,61 +113,89 @@ def scvar_solve(
     params: BaselineParams = BaselineParams(),
     record_trace: bool = False,
 ) -> ScvarResult:
-    """Projected subgradient descent on the sample-average objective.
+    """Certified minimisation of the sample-average CVaR objective.
 
-    Starts from uniform weights with the loss quantile as threshold.
-    Steps project the weights back onto the simplex; the threshold is
-    unconstrained.  Returns the best iterate by objective value.
+    Upper bound: the exact objective, threshold at the loss quantile
+    (Rockafellar & Uryasev 2000).  Lower bound: a surrogate (Nesterov 2005)
+    with plus-parts and ``|c|`` smoothed at a level ``mu`` in return units
+    and the threshold minimised exactly, less its Frank-Wolfe gap and
+    smoothing margin.  FISTA from uniform weights, with backtracking on
+    the Lipschitz estimate and a function-value restart, minimises the
+    surrogate; ``mu`` halves once that gap falls under the margin.  Stops
+    ``converged`` once the relative gap is at most :data:`GAP_TOLERANCE`,
+    else ``iteration-cap`` after ``params.max_iters`` iterations.
     """
     start_time = time.perf_counter()
-    d = samples.n_assets
-    x = np.full(d, 1.0 / d)
-    alpha = var_threshold(x, samples, model.beta)
-    fx = scvar_objective(x, alpha, samples, model)
-    best_x, best_alpha, best_f = x, alpha, fx
+    xi_b, xi_a, n = samples.xi_b, samples.xi_a, samples.n_samples
+    tau1, tau2, coef, beta = model.tau1, model.tau2, model.cvar_coef, model.beta
+    x = y = best_x = np.full(samples.n_assets, 1.0 / samples.n_assets)
+    alpha = var_threshold(x, samples, beta)
+    upper, lower = scvar_objective(x, alpha, samples, model), -math.inf
+    # mu starts at the spread of the start's losses (1 if they are all equal);
+    # the surrogate exceeds the objective by at most margin_rate * mu.
+    mu = float(np.std(xi_b @ x)) or 1.0
+    margin_rate = coef * math.log(2.0) + (model.psi is PsiKind.ABSOLUTE)
+    # Lipschitz estimate: the trace of a Hessian bound (0 only if the gradient is).
+    curvature = (2.0 if model.psi is PsiKind.SQUARED else 1.0 / mu) + coef / (4.0 * mu)
+    lipschitz = (float(np.sum(np.square(xi_b))) / n * curvature + 2.0 * tau1) or 1.0
+    # Optimal and solved thresholds lie in the (shifted) asset losses' range.
+    reach = float(xi_b.max() - xi_b.min())
+
+    def surrogate(w: np.ndarray, a: float):
+        """Value, x-gradient and alpha-derivative at ``w``, and the alpha minimising it."""
+        losses = -(xi_b @ w)
+        a, plus, sig = _smoothed_threshold(losses, a, mu, beta)
+        c = xi_a + losses
+        value = np.mean(smooth_psi(c, mu * mu, model.psi) + coef * plus)
+        value += tau1 * float(w @ w) + tau2 * a
+        weights = _smooth_psi_prime(c, mu * mu, model.psi) + coef * sig
+        grad = 2.0 * tau1 * w - xi_b.T @ weights / n
+        return float(value), grad, tau2 - coef * float(np.mean(sig)), a
+
     trace: list[tuple[float, float]] | None = [] if record_trace else None
-    armijo = params.step_rule is StepRule.ARMIJO
-    status = STATUS_ITERATION_CAP
-    iters = 0
+    fx, t = math.inf, 1.0
     for k in range(params.max_iters):
-        gx, galpha = _scvar_subgradient(x, alpha, samples, model)
-        if armijo:
-            stepsize = _ARMIJO.alpha0
-            accepted = False
-            for _ in range(_ARMIJO.max_backtracks + 1):
-                x_new = project_simplex(x - stepsize * gx)
-                alpha_new = alpha - stepsize * galpha
-                f_new = scvar_objective(x_new, alpha_new, samples, model)
-                decrease = float(gx @ (x_new - x)) + galpha * (alpha_new - alpha)
-                if f_new <= fx + _ARMIJO.sigma * decrease:
-                    accepted = True
-                    break
-                stepsize *= _ARMIJO.rho
-            if not accepted:
-                # Stall on a kink: continue with diminishing steps.
-                armijo = False
-                continue
-        else:
-            stepsize = _DIMINISHING_STEP0 / math.sqrt(k + 1.0)
-            x_new = project_simplex(x - stepsize * gx)
-            alpha_new = alpha - stepsize * galpha
-            f_new = scvar_objective(x_new, alpha_new, samples, model)
-        displacement = math.hypot(float(np.linalg.norm(x_new - x)), alpha_new - alpha)
-        x, alpha, fx = x_new, alpha_new, f_new
-        iters = k + 1
-        if f_new < best_f:
-            best_x, best_alpha, best_f = x_new, alpha_new, f_new
+        fy, gy, _, alpha = surrogate(y, alpha)
+        lipschitz *= _LIPSCHITZ_DECAY
+        while True:
+            x_new = project_simplex(y - gy / lipschitz)
+            f_new, g_new, galpha, alpha_new = surrogate(x_new, alpha)
+            step = x_new - y
+            if f_new <= fy + float(gy @ step) + 0.5 * lipschitz * float(step @ step):
+                break
+            lipschitz *= 2.0
+        exact = scvar_objective(x_new, var_threshold(x_new, samples, beta), samples, model)
+        if exact < upper:
+            upper, best_x = exact, x_new
+        # Joint convexity: the surrogate's minimum is at least its linearisation
+        # at (x_new, alpha_new) minimised over the simplex and the reachable alphas.
+        fw_gap = float(g_new @ x_new - g_new.min()) + abs(galpha) * reach
+        # The optimum lies under upper, so a lower bound above it is rounding.
+        lower = min(max(lower, f_new - fw_gap - margin_rate * mu), upper)
+        gap = (upper - lower) / max(abs(upper), math.ulp(0.0))
         if trace is not None:
-            trace.append((time.perf_counter() - start_time, best_f))
-        if displacement <= params.tolerance:
-            status = STATUS_CONVERGED
+            trace.append((time.perf_counter() - start_time, upper))
+        if gap <= GAP_TOLERANCE:
             break
+        if fw_gap <= margin_rate * mu and (0.5 * mu) ** 2 > 0.0:
+            # The margin dominates: sharpen while mu**2 stays positive, and
+            # restart with no surrogate value at the new level yet.
+            mu, y, t, f_new = 0.5 * mu, x_new, 1.0, math.inf
+        elif f_new > fx:
+            y, t = x_new, 1.0
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            t = t_next
+        x, fx, alpha = x_new, f_new, alpha_new
     return ScvarResult(
         x=best_x,
-        alpha=float(best_alpha),
-        objective=float(best_f),
-        iters=iters,
-        status=status,
+        alpha=var_threshold(best_x, samples, beta),
+        objective=float(upper),
+        lower_bound=float(lower),
+        gap=gap,
+        iters=k + 1,
+        status=STATUS_CONVERGED if gap <= GAP_TOLERANCE else STATUS_ITERATION_CAP,
         trace=tuple(trace) if trace is not None else None,
     )
 

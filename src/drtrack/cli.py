@@ -17,7 +17,6 @@ precedence.  Exit codes: 0 success, 2 usage or validation error,
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import os
 import sys
@@ -68,28 +67,16 @@ _SECTIONS = {
 }
 
 # Each key's default, typed as the dataclass holds it.
-_TYPED_DEFAULTS: dict[str, object] = {
+CONFIG_DEFAULTS: dict[str, object] = {
     f"{section}.{name}": getattr(owner, name)
     for section, (owner, names) in _SECTIONS.items()
     for name in names
 }
 
-# The same defaults as a config file writes them (enum members by value).
-CONFIG_DEFAULTS: dict[str, object] = {
-    key: value.value if isinstance(value, enum.Enum) else value
-    for key, value in _TYPED_DEFAULTS.items()
-}
-
 
 def _typed(key: str, value):
     """``value`` checked against the type of the key's default and cast to it."""
-    default = _TYPED_DEFAULTS[key]
-    if isinstance(default, enum.Enum):
-        members = [member.value for member in type(default)]
-        if not (isinstance(value, str) and value.lower() in members):
-            choices = ", ".join(map(repr, members))
-            raise InvalidInputError(f"{key} must be one of {choices}, got {value!r}")
-        return type(default)(value.lower())
+    default = CONFIG_DEFAULTS[key]
     allowed = (int,) if isinstance(default, int) else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
         kind = "an integer" if isinstance(default, int) else "a number"
@@ -213,7 +200,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             alpha=result.nu.alpha,
         )
     elif isinstance(result, ScvarResult):
-        doc.update(iters=result.iters, alpha=result.alpha)
+        doc.update({k: getattr(result, k) for k in ("iters", "alpha", "lower_bound", "gap")})
     if want_trace and result.trace is not None:
         _write_trace(args.trace_out, result.trace)
     _emit_json(doc, args.out)
