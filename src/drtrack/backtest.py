@@ -105,7 +105,8 @@ class BacktestReport:
 
     ``sigma2``, ``sharpe`` and ``turnover`` are None when undefined
     (fewer than two windows, or zero return variance for the Sharpe
-    ratio).
+    ratio).  ``cpu_seconds`` is the sum of the windows' fit times, each
+    wall time from ``time.perf_counter``, not processor time.
     """
 
     model_id: str

@@ -14,9 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ModelParams, PsiKind, SampleSet, psi_value, var_threshold
+from .model import (
+    ModelParams,
+    PsiKind,
+    SampleSet,
+    _loss_quantile,
+    psi_value,
+    var_threshold,
+)
 from .projections import project_simplex
-from .smoothing import _plus_and_tail, _smooth_psi_prime, smooth_psi
+from .smoothing import _smooth_psi_prime, smooth_psi
 from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 __all__ = [
@@ -52,7 +59,9 @@ class ScvarResult:
     """Best iterate of the CVaR solver, ``alpha`` its loss quantile.
 
     ``gap`` is ``(objective - lower_bound) / |objective|``.  ``trace``, if
-    requested, holds ``(cpu_seconds, best objective so far)`` per iteration.
+    requested, holds ``(cpu_seconds, best objective so far)`` per iteration,
+    where ``cpu_seconds`` is the wall time since the solve started
+    (``time.perf_counter``), not processor time.
     """
 
     x: np.ndarray
@@ -72,9 +81,13 @@ def scvar_objective(x, alpha, samples: SampleSet, model: ModelParams) -> float:
         raise InvalidInputError(f"x must have shape ({samples.n_assets},), got {x.shape}")
     if not (np.isfinite(x).all() and math.isfinite(alpha)):
         raise InvalidInputError("x and alpha must be finite")
-    losses = -(samples.xi_b @ x)
+    return _scvar_value(x, alpha, -(samples.xi_b @ x), samples.xi_a, model)
+
+
+def _scvar_value(x, alpha, losses, xi_a, model: ModelParams) -> float:
+    """:func:`scvar_objective` from the losses ``-(xi_b @ x)``, unchecked."""
     return (
-        float(np.mean(psi_value(samples.xi_a + losses, model.psi)))
+        float(np.mean(psi_value(xi_a + losses, model.psi)))
         + model.tau1 * float(x @ x)
         + model.tau2 * float(alpha)
         + model.cvar_coef * float(np.mean(np.maximum(losses - alpha, 0.0)))
@@ -86,25 +99,31 @@ def _smoothed_threshold(losses: np.ndarray, alpha: float, mu: float, beta: float
 
     Returns the root of ``mean(logistic((losses - a) / mu)) = 1 - beta``,
     bracketed by ``losses`` shifted by ``mu * log(beta / (1 - beta))``,
-    with the smoothed plus-parts and the logistic weights at it.
+    with the smoothed plus-parts and the logistic weights at it.  The
+    Newton steps need only the logistic; the plus-parts are formed once,
+    from the last step's tail.  The last allowed step only evaluates, so
+    both always sit at the returned threshold.
     """
+    n = losses.shape[0]
     shift = mu * math.log(beta / (1.0 - beta))
     lo, hi = float(losses.min()) + shift, float(losses.max()) + shift
     alpha = min(max(alpha, lo), hi)
-    for _ in range(_THRESHOLD_STEPS):
-        plus, tail = _plus_and_tail(losses - alpha, mu)
-        # logistic((losses - alpha) / mu), from the tail that cannot overflow
-        sig = np.where(losses >= alpha, 1.0, tail) / (1.0 + tail)
-        excess = float(np.mean(sig)) - (1.0 - beta)
-        if abs(excess) <= _THRESHOLD_TOLERANCE:
+    for step in range(_THRESHOLD_STEPS):
+        z = losses - alpha
+        tail = np.exp(-np.abs(z) / mu)
+        # logistic(z / mu), from the tail that cannot overflow
+        sig = np.where(z >= 0.0, 1.0, tail) / (1.0 + tail)
+        total = float(sig.sum())
+        excess = total / n - (1.0 - beta)
+        if abs(excess) <= _THRESHOLD_TOLERANCE or step == _THRESHOLD_STEPS - 1:
             break
         lo, hi = (alpha, hi) if excess > 0.0 else (lo, alpha)
-        slope = float(np.mean(sig * (1.0 - sig))) / mu
+        slope = (total - float(sig @ sig)) / (n * mu)
         new = alpha + excess / slope if slope > 0.0 else hi
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
         alpha = new
-    return alpha, plus, sig
+    return alpha, np.maximum(z, 0.0) + mu * np.log1p(tail), sig
 
 
 def scvar_solve(
@@ -116,12 +135,14 @@ def scvar_solve(
     """Certified minimisation of the sample-average CVaR objective.
 
     Upper bound: the exact objective, threshold at the loss quantile
-    (Rockafellar & Uryasev 2000).  Lower bound: a surrogate (Nesterov 2005)
-    with plus-parts and ``|c|`` smoothed at a level ``mu`` in return units
-    and the threshold minimised exactly, less its Frank-Wolfe gap and
-    smoothing margin.  FISTA from uniform weights, with backtracking on
-    the Lipschitz estimate and a function-value restart, minimises the
-    surrogate; ``mu`` halves once that gap falls under the margin.  Stops
+    (Rockafellar & Uryasev 2000), both taken from the losses the surrogate
+    formed, so each evaluated point costs one product with the samples.
+    Lower bound: a surrogate (Nesterov 2005) with plus-parts and ``|c|``
+    smoothed at a level ``mu`` in return units and the threshold minimised
+    exactly, less its Frank-Wolfe gap and smoothing margin.  FISTA from
+    uniform weights, with backtracking on the Lipschitz estimate and a
+    function-value restart, minimises the surrogate; ``mu`` halves once
+    that gap falls under the margin.  Stops
     ``converged`` once the relative gap is at most :data:`GAP_TOLERANCE`,
     else ``iteration-cap`` after ``params.max_iters`` iterations.
     """
@@ -129,7 +150,7 @@ def scvar_solve(
     xi_b, xi_a, n = samples.xi_b, samples.xi_a, samples.n_samples
     tau1, tau2, coef, beta = model.tau1, model.tau2, model.cvar_coef, model.beta
     x = y = best_x = np.full(samples.n_assets, 1.0 / samples.n_assets)
-    alpha = var_threshold(x, samples, beta)
+    alpha = best_alpha = var_threshold(x, samples, beta)
     upper, lower = scvar_objective(x, alpha, samples, model), -math.inf
     # mu starts at the spread of the start's losses (1 if they are all equal);
     # the surrogate exceeds the objective by at most margin_rate * mu.
@@ -142,7 +163,8 @@ def scvar_solve(
     reach = float(xi_b.max() - xi_b.min())
 
     def surrogate(w: np.ndarray, a: float):
-        """Value, x-gradient and alpha-derivative at ``w``, and the alpha minimising it."""
+        """Value, x-gradient and alpha-derivative at ``w``, the alpha minimising
+        it and the losses ``-(xi_b @ w)``."""
         losses = -(xi_b @ w)
         a, plus, sig = _smoothed_threshold(losses, a, mu, beta)
         c = xi_a + losses
@@ -150,23 +172,24 @@ def scvar_solve(
         value += tau1 * float(w @ w) + tau2 * a
         weights = _smooth_psi_prime(c, mu * mu, model.psi) + coef * sig
         grad = 2.0 * tau1 * w - xi_b.T @ weights / n
-        return float(value), grad, tau2 - coef * float(np.mean(sig)), a
+        return float(value), grad, tau2 - coef * float(np.mean(sig)), a, losses
 
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     fx, t = math.inf, 1.0
     for k in range(params.max_iters):
-        fy, gy, _, alpha = surrogate(y, alpha)
+        fy, gy, _, alpha, _ = surrogate(y, alpha)
         lipschitz *= _LIPSCHITZ_DECAY
         while True:
             x_new = project_simplex(y - gy / lipschitz)
-            f_new, g_new, galpha, alpha_new = surrogate(x_new, alpha)
+            f_new, g_new, galpha, alpha_new, losses = surrogate(x_new, alpha)
             step = x_new - y
             if f_new <= fy + float(gy @ step) + 0.5 * lipschitz * float(step @ step):
                 break
             lipschitz *= 2.0
-        exact = scvar_objective(x_new, var_threshold(x_new, samples, beta), samples, model)
+        quantile = _loss_quantile(losses, beta)
+        exact = _scvar_value(x_new, quantile, losses, xi_a, model)
         if exact < upper:
-            upper, best_x = exact, x_new
+            upper, best_x, best_alpha = exact, x_new, quantile
         # Joint convexity: the surrogate's minimum is at least its linearisation
         # at (x_new, alpha_new) minimised over the simplex and the reachable alphas.
         fw_gap = float(g_new @ x_new - g_new.min()) + abs(galpha) * reach
@@ -190,7 +213,7 @@ def scvar_solve(
         x, fx, alpha = x_new, f_new, alpha_new
     return ScvarResult(
         x=best_x,
-        alpha=var_threshold(best_x, samples, beta),
+        alpha=best_alpha,
         objective=float(upper),
         lower_bound=float(lower),
         gap=gap,

@@ -235,6 +235,8 @@ def _parse_grid(text: str | None) -> list[tuple[float, float]] | None:
         raise InvalidInputError(f"--grid must hold comma-separated floats, got {text!r}") from None
     if not values:
         raise InvalidInputError("--grid must contain at least one value")
+    # a repeated value would fit the same (tau1, tau2) pair again
+    values = list(dict.fromkeys(values))
     return [(a, b) for a in values for b in values]
 
 
@@ -332,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--data", required=True)
     p_solve.add_argument("--model", required=True, choices=MODEL_IDS)
     p_solve.add_argument("--rows", help="fit row range START:STOP (default: all rows)")
-    p_solve.add_argument("--trace-out", help="CSV path for (cpu_seconds, objective) trace")
+    p_solve.add_argument(
+        "--trace-out",
+        help="CSV path for (cpu_seconds, objective) trace; cpu_seconds is wall time",
+    )
     _add_common_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -411,7 +411,11 @@ def var_threshold(x, samples: SampleSet, beta: float) -> float:
     beta = _finite_float(beta, "beta")
     if not 0.0 < beta < 1.0:
         raise InvalidInputError(f"beta must lie in (0, 1), got {beta}")
-    losses = portfolio_losses(x, samples)
+    return _loss_quantile(portfolio_losses(x, samples), beta)
+
+
+def _loss_quantile(losses: np.ndarray, beta: float) -> float:
+    """The ceil((1-beta)N)-th largest of ``losses``, unchecked."""
     n = losses.shape[0]
     k = min(max(int(math.ceil((1.0 - beta) * n)), 1), n)
     # k-th largest equals the (n-k)-th entry in ascending order.

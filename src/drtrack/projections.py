@@ -59,13 +59,16 @@ def _psd_parts(a: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
     """:func:`project_psd` of a checked square matrix, with its factor.
 
     The factor ``(F, r)`` holds the ``r`` positive eigenpairs of the
-    symmetric part as ``F = V_+ sqrt(e_+)``; the projection is
+    symmetric part as ``F = V_+ sqrt(e_+)``, the columns of
+    :func:`_eigen_factor` without its negative ones; the projection is
     ``F @ F.T``, which numpy forms as a symmetric rank-k update, so it
     is exactly symmetric.
     """
-    cols, npos = _eigen_factor(0.5 * (a + a.T))
-    pos = cols[:, :npos]
-    return pos @ pos.T, (pos, npos)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
+    # eigh sorts ascending: the positive eigenvalues are the last ones.
+    first = int(np.searchsorted(eigvals, 0.0, side="right"))
+    pos = eigvecs[:, first:] * np.sqrt(eigvals[first:])
+    return pos @ pos.T, (pos, pos.shape[1])
 
 
 def _eigen_factor(sym: np.ndarray) -> tuple[np.ndarray, int]:

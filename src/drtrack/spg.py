@@ -147,8 +147,10 @@ class SolveResult:
     smoothing level ``mu_final``.  ``trials`` counts the smoothed
     evaluations spent inside line searches, at least one per accepted
     inner step.  ``trace`` holds one
-    ``(cpu_seconds, smoothed objective)`` pair per accepted inner step
-    and ``phase_objectives`` the smoothed-objective sequence of every
+    ``(cpu_seconds, smoothed objective)`` pair per accepted inner step,
+    ``cpu_seconds`` being the wall time since the solve started
+    (``time.perf_counter``), not processor time, and
+    ``phase_objectives`` the smoothed-objective sequence of every
     inner phase; both are None unless tracing was requested.
     """
 

@@ -5,15 +5,18 @@ import pytest
 
 import oracles
 from helpers import gaussian_instance
+from drtrack import baselines
 from drtrack.baselines import (
     GAP_TOLERANCE,
     BaselineParams,
+    _smoothed_threshold,
     scvar_objective,
     scvar_solve,
     te_l2_solve,
 )
 from drtrack.errors import InvalidInputError
 from drtrack.model import ModelParams, PsiKind, SampleSet, var_threshold
+from drtrack.smoothing import _plus_and_tail
 from drtrack.spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 
@@ -85,6 +88,79 @@ def test_scvar_converged_is_certified_off_the_start_point():
     assert res.status == STATUS_CONVERGED
     assert res.gap <= GAP_TOLERANCE
     assert res.lower_bound <= res.objective <= 1.2234e-4
+
+
+def test_scvar_checked_evaluations_do_not_grow_with_iterations(monkeypatch):
+    # the bounds inside the loop come from the surrogate's own losses; the
+    # checked public functions run only at the start point
+    samples, _, model = gaussian_instance(6, d=3, n=25, scale=0.01,
+                                          tau1=1e-4, tau2=2e-4, beta=0.9)
+    calls = {"scvar_objective": 0, "var_threshold": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(baselines, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(baselines, name, counted)
+    counts = []
+    for max_iters in (5, 50):
+        res = scvar_solve(samples, model, BaselineParams(max_iters=max_iters))
+        counts.append((dict(calls), res.iters))
+        calls.update(dict.fromkeys(calls, 0))
+    (short, short_iters), (long, long_iters) = counts
+    assert short_iters == 5 < long_iters
+    assert short == long
+
+
+def _logistic(z):
+    """logistic(z) written through tanh, independent of the solver's tail form."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def _bisected_threshold(losses, mu, beta):
+    """Root of mean(logistic((losses - a) / mu)) = 1 - beta by plain bisection."""
+    lo, hi = losses.min() - 50.0 * mu, losses.max() + 50.0 * mu
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.mean(_logistic((losses - mid) / mu)) > 1.0 - beta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("mu", [1e-8, 1e-4, 1.0])
+def test_smoothed_threshold_matches_bisection(mu):
+    rng = np.random.default_rng(21)
+    beta = 0.95
+    cases = [
+        rng.normal(0.0, 0.01, 250),
+        rng.normal(0.0, 0.01, 7),
+        np.array([0.003]),
+        np.full(40, -0.002),
+    ]
+    for losses in cases:
+        alpha, plus, sig = _smoothed_threshold(losses, 0.0, mu, beta)
+        root = _bisected_threshold(losses, mu, beta)
+        # the solver stops at |mean - (1 - beta)| <= 1e-12; at the slope
+        # mean(sig (1 - sig)) / mu that bounds the distance to the root
+        slope = np.mean(sig * (1.0 - sig)) / mu
+        scale = np.abs(losses).max() + mu
+        assert abs(alpha - root) <= 2e-12 / slope + 1e-14 * scale
+        want_plus, tail = _plus_and_tail(losses - alpha, mu)
+        assert np.array_equal(plus, want_plus)
+        assert np.array_equal(sig, np.where(losses >= alpha, 1.0, tail) / (1.0 + tail))
+        assert np.allclose(sig, _logistic((losses - alpha) / mu), rtol=1e-12, atol=1e-15)
+
+
+def test_smoothed_threshold_parts_sit_at_the_returned_threshold(monkeypatch):
+    # even when the Newton budget runs out before the tolerance is met
+    losses = np.random.default_rng(22).normal(0.0, 0.01, 50)
+    for steps in (1, 2, 3):
+        monkeypatch.setattr(baselines, "_THRESHOLD_STEPS", steps)
+        alpha, plus, sig = _smoothed_threshold(losses, 0.05, 1e-3, 0.9)
+        want_plus, tail = _plus_and_tail(losses - alpha, 1e-3)
+        assert np.array_equal(plus, want_plus)
+        assert np.array_equal(sig, np.where(losses >= alpha, 1.0, tail) / (1.0 + tail))
 
 
 def _scan_two_assets(samples, model, weights):

@@ -293,6 +293,25 @@ def test_grid_search_cli(market_csv, capsys):
     capsys.readouterr()
 
 
+def test_grid_search_cli_fits_a_repeated_value_once(market_csv, capsys):
+    rc = main(["grid-search", "--data", market_csv, "--model", "te-l2",
+               "--window", "20", "--hold", "10", "--grid", "1e-4,1e-4",
+               "--threads", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    summary_at = out.index("grid-search: 1 points")
+    doc = json.loads(out[:summary_at])
+    assert [(row["tau1"], row["tau2"]) for row in doc["rows"]] == [(1e-4, 1e-4)]
+    # repeats are dropped in first-seen order
+    assert main(["grid-search", "--data", market_csv, "--model", "te-l2",
+                 "--window", "20", "--hold", "10", "--grid", "2e-4,0,2e-4",
+                 "--threads", "1"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[:out.index("grid-search: 4 points")])
+    taus = [(row["tau1"], row["tau2"]) for row in doc["rows"]]
+    assert taus == [(2e-4, 2e-4), (2e-4, 0.0), (0.0, 2e-4), (0.0, 0.0)]
+
+
 def test_compare_cli(market_csv, capsys):
     rc = main(["compare", "--data", market_csv,
                "--models", "te-l2,lasso,mixed01-lp",

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import oracles
 from helpers import random_dual_point
 from drtrack.errors import InvalidInputError
-from drtrack.projections import _project_flat, project_feasible, project_psd, project_simplex
+from drtrack.projections import (
+    _eigen_factor,
+    _project_flat,
+    _psd_parts,
+    project_feasible,
+    project_psd,
+    project_simplex,
+)
 
 
 def _flat(nu):
@@ -121,3 +128,16 @@ def test_project_flat_returns_the_factor_of_its_psd_block():
             lam = flat[2 * d + 2 :].reshape(d + 1, d + 1)
             assert rank == cols.shape[1] and 0 < rank <= d + 1
             assert np.max(np.abs(cols @ cols.T - lam)) <= 1e-12
+
+
+def test_psd_parts_is_bitwise_the_positive_half_of_the_signed_factor():
+    rng = np.random.default_rng(31)
+    for size in (2, 9, 31):
+        g = rng.normal(size=(size, size))
+        for a in (np.zeros((size, size)), g @ g.T, g, g + g.T):
+            cols, npos = _eigen_factor(0.5 * (a + a.T))
+            pos = cols[:, :npos]
+            proj, (factor, rank) = _psd_parts(a)
+            assert rank == npos == factor.shape[1]
+            assert np.array_equal(factor, pos)
+            assert np.array_equal(proj, pos @ pos.T)
