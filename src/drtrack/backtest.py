@@ -11,7 +11,6 @@ on the hold periods with compounded gross returns.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -380,33 +379,19 @@ def grid_search(
     panel: ReturnPanel,
     config: BacktestConfig,
     grid=None,
-    threads: int = 1,
 ) -> GridSearchResult:
     """Backtest every ``(tau1, tau2)`` pair and pick the lowest TEO.
 
     ``grid`` defaults to the full cartesian square of :data:`TAU_GRID`.
-    Ties are broken toward the lexicographically smaller pair.  Grid
-    points are independent; ``threads`` > 1 runs them concurrently
-    with results collected in grid order.
+    Ties are broken toward the lexicographically smaller pair.
     """
     if grid is None:
         grid = [(a, b) for a in TAU_GRID for b in TAU_GRID]
     grid = [(float(a), float(b)) for a, b in grid]
     if not grid:
         raise InvalidInputError("grid must not be empty")
-    if threads < 1:
-        raise InvalidInputError("threads must be at least 1")
-
-    def run_point(pair: tuple[float, float]) -> GridEntry:
-        tau1, tau2 = pair
-        point_config = replace(config, model=replace(config.model, tau1=tau1, tau2=tau2))
-        return GridEntry(config=point_config, report=run_backtest(panel, point_config))
-
-    if threads == 1:
-        rows = [run_point(pair) for pair in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_point, grid))
+    configs = [replace(config, model=replace(config.model, tau1=a, tau2=b)) for a, b in grid]
+    rows = [GridEntry(config=c, report=run_backtest(panel, c)) for c in configs]
     best = min(rows, key=lambda row: (row.report.teo, row.tau1, row.tau2))
     return GridSearchResult(rows=tuple(rows), best=best)
 

@@ -86,11 +86,12 @@ def scvar_objective(x, alpha, samples: SampleSet, model: ModelParams) -> float:
 
 def _scvar_value(x, alpha, losses, xi_a, model: ModelParams) -> float:
     """:func:`scvar_objective` from the losses ``-(xi_b @ x)``, unchecked."""
+    n = losses.shape[0]
     return (
-        float(np.mean(psi_value(xi_a + losses, model.psi)))
+        float(psi_value(xi_a + losses, model.psi).sum()) / n
         + model.tau1 * float(x @ x)
         + model.tau2 * float(alpha)
-        + model.cvar_coef * float(np.mean(np.maximum(losses - alpha, 0.0)))
+        + model.cvar_coef * (float(np.maximum(losses - alpha, 0.0).sum()) / n)
     )
 
 
@@ -168,11 +169,11 @@ def scvar_solve(
         losses = -(xi_b @ w)
         a, plus, sig = _smoothed_threshold(losses, a, mu, beta)
         c = xi_a + losses
-        value = np.mean(smooth_psi(c, mu * mu, model.psi) + coef * plus)
+        value = float((smooth_psi(c, mu * mu, model.psi) + coef * plus).sum()) / n
         value += tau1 * float(w @ w) + tau2 * a
         weights = _smooth_psi_prime(c, mu * mu, model.psi) + coef * sig
         grad = 2.0 * tau1 * w - xi_b.T @ weights / n
-        return float(value), grad, tau2 - coef * float(np.mean(sig)), a, losses
+        return value, grad, tau2 - coef * (float(sig.sum()) / n), a, losses
 
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     fx, t = math.inf, 1.0

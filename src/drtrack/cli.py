@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -244,7 +243,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     config = _backtest_config(cfg, args.model)
     panel = load_returns_csv(args.data)
-    result = grid_search(panel, config, grid=_parse_grid(args.grid), threads=args.threads)
+    result = grid_search(panel, config, grid=_parse_grid(args.grid))
     doc = {
         "rows": [report_to_dict(entry.report, entry.config) for entry in result.rows],
         "best": {
@@ -358,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument(
         "--threads",
         type=int,
-        default=max(os.cpu_count() or 1, 1),
-        help="concurrent grid points (1 = sequential)",
+        default=1,
+        help="ignored: grid points run in sequence (kept so existing command lines parse)",
     )
     _add_common_flags(p_grid)
     p_grid.set_defaults(func=cmd_grid_search)

@@ -273,24 +273,6 @@ def test_grid_search_tie_break_and_custom_grids():
     assert len(single.rows) == 1
     with pytest.raises(InvalidInputError):
         grid_search(panel, config, grid=[])
-    with pytest.raises(InvalidInputError):
-        grid_search(panel, config, threads=0)
-
-
-def test_grid_search_threads_match_serial():
-    panel = gen_synthetic(d=3, n_days=70, seed=15)
-    config = te_config(window=30, hold=10)
-    grid = [(0.0, 0.0), (2e-4, 0.0), (1e-3, 0.0)]
-    serial = grid_search(panel, config, grid=grid, threads=1)
-    threaded = grid_search(panel, config, grid=grid, threads=2)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert (a.tau1, a.tau2) == (b.tau1, b.tau2)
-        assert a.report.teo == b.report.teo
-        assert a.report.tei == b.report.tei
-    assert (serial.best.tau1, serial.best.tau2) == (
-        threaded.best.tau1,
-        threaded.best.tau2,
-    )
 
 
 def test_grid_search_best_minimizes_teo():

@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from drtrack import backtest
 from drtrack.backtest import BacktestConfig
 from drtrack.baselines import BaselineParams
 from drtrack.cli import CONFIG_DEFAULTS, UNAVAILABLE_MODELS, main
@@ -291,6 +293,37 @@ def test_grid_search_cli(market_csv, capsys):
     assert main(["grid-search", "--data", market_csv, "--model", "te-l2",
                  "--window", "20", "--hold", "10", "--grid", "x"]) == 2
     capsys.readouterr()
+
+
+def _without_timings(doc):
+    if isinstance(doc, dict):
+        return {k: _without_timings(v) for k, v in doc.items()
+                if k not in ("cpu_seconds", "solve_seconds")}
+    if isinstance(doc, list):
+        return [_without_timings(v) for v in doc]
+    return doc
+
+
+def test_grid_search_runs_on_the_calling_thread_and_ignores_threads(
+    market_csv, capsys, monkeypatch
+):
+    seen = []
+    fit = backtest.run_backtest
+
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(backtest, "run_backtest", recording)
+    argv = ["grid-search", "--data", market_csv, "--model", "te-l2",
+            "--window", "20", "--hold", "10", "--grid", "0,2e-4"]
+    docs = []
+    for extra in (["--threads", "4"], []):
+        assert main(argv + extra) == 0
+        out = capsys.readouterr().out
+        docs.append(_without_timings(json.loads(out[:out.index("grid-search: 4 points")])))
+    assert seen == [threading.get_ident()] * 8
+    assert docs[0] == docs[1]
 
 
 def test_grid_search_cli_fits_a_repeated_value_once(market_csv, capsys):

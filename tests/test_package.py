@@ -1,13 +1,16 @@
-"""Package surface: exported names and the README's configuration table."""
+"""Package surface: exported names and the README's table and examples."""
 
 import importlib
 import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import drtrack
-from drtrack.cli import CONFIG_DEFAULTS
+from drtrack.cli import CONFIG_DEFAULTS, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +40,35 @@ def test_readme_config_table_lists_every_key_with_its_default():
         default = CONFIG_DEFAULTS[key]
         value = text if isinstance(default, str) else json.loads(text)
         assert (type(value), value) == (type(default), default), key
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_library_example_runs_within_its_budget():
+    (example,) = _readme_blocks("python")
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    result = namespace["result"]
+    # 40 phases of at most 200 descent steps each, plus the final gradient
+    assert result.grad_evals <= 40 * 200 + 1
+    assert result.status in ("converged", "iteration-cap")
+
+
+def test_every_readme_command_parses():
+    commands = []
+    for block in _readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("drtrack "):
+                commands.append(shlex.split(line)[1:])
+    assert [argv[0] for argv in commands] == [
+        "gen-data", "solve", "backtest", "grid-search", "compare"
+    ]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: drtrack {' '.join(argv)}")
