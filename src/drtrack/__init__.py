@@ -51,21 +51,12 @@ from .model import (
     SampleSet,
     check_moment_feasibility,
     cvar_discrete,
-    evaluate_h,
-    evaluate_h1,
-    evaluate_h2,
     evaluate_khat,
     evaluate_phi_n,
 )
 from .projections import project_feasible, project_psd, project_simplex
-from .smoothing import (
-    grad_smooth_phi,
-    smooth_abs,
-    smooth_h,
-    smooth_phi,
-    smooth_plus,
-)
-from .spg import ArmijoStep, SolveResult, SpgParams, armijo_search, default_start, spg_solve
+from .smoothing import grad_smooth_phi, smooth_abs, smooth_phi, smooth_plus
+from .spg import SolveResult, SpgParams, default_start, spg_solve
 
 __version__ = "0.1.0"
 
@@ -73,7 +64,6 @@ __all__ = [
     "MODEL_IDS",
     "TAU_GRID",
     "AmbiguityParams",
-    "ArmijoStep",
     "BacktestConfig",
     "BacktestReport",
     "BaselineParams",
@@ -94,7 +84,6 @@ __all__ = [
     "SampleSet",
     "SolveResult",
     "SpgParams",
-    "armijo_search",
     "build_sample_set",
     "check_moment_feasibility",
     "compute_performance",
@@ -103,9 +92,6 @@ __all__ = [
     "cvar_discrete",
     "default_start",
     "estimate_moments",
-    "evaluate_h",
-    "evaluate_h1",
-    "evaluate_h2",
     "evaluate_khat",
     "evaluate_phi_n",
     "gen_synthetic",
@@ -120,7 +106,6 @@ __all__ = [
     "scvar_objective",
     "scvar_solve",
     "smooth_abs",
-    "smooth_h",
     "smooth_phi",
     "smooth_plus",
     "spg_solve",

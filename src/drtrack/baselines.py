@@ -23,7 +23,7 @@ from .model import (
     var_threshold,
 )
 from .projections import project_simplex
-from .smoothing import _smooth_psi_prime, smooth_psi
+from .smoothing import _logistic, _smooth_psi_prime, smooth_psi
 from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 __all__ = [
@@ -41,6 +41,10 @@ _THRESHOLD_TOLERANCE = 1e-12
 _THRESHOLD_STEPS = 64
 # Each iteration lowers the Lipschitz estimate by this factor before backtracking.
 _LIPSCHITZ_DECAY = 0.8
+# te_l2_solve takes at most this many steps and converges once a step moves
+# the weights by at most this much.
+TE_L2_MAX_STEPS = 10_000
+TE_L2_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,7 @@ def _smoothed_threshold(losses: np.ndarray, alpha: float, mu: float, beta: float
     for step in range(_THRESHOLD_STEPS):
         z = losses - alpha
         tail = np.exp(-np.abs(z) / mu)
-        # logistic(z / mu), from the tail that cannot overflow
-        sig = np.where(z >= 0.0, 1.0, tail) / (1.0 + tail)
+        sig = _logistic(z, tail)
         total = float(sig.sum())
         excess = total / n - (1.0 - beta)
         if abs(excess) <= _THRESHOLD_TOLERANCE or step == _THRESHOLD_STEPS - 1:
@@ -224,25 +227,19 @@ def scvar_solve(
     )
 
 
-def te_l2_solve(
-    samples: SampleSet,
-    tau1: float,
-    max_iters: int = 10_000,
-    tolerance: float = 1e-12,
-) -> tuple[np.ndarray, float, str]:
+def te_l2_solve(samples: SampleSet, tau1: float) -> tuple[np.ndarray, float, str]:
     """Least-squares tracker with ridge term over the simplex.
 
     Minimises ``mean((xi_a - xi_b @ x)^2) + tau1 * ||x||^2`` by
     projected gradient with a constant stepsize of one over the
     gradient's Lipschitz constant.  Returns the weights, the objective
     and the status: ``converged`` once a step moves the weights by at
-    most ``tolerance``, ``iteration-cap`` after ``max_iters`` steps.
+    most :data:`TE_L2_TOLERANCE`, ``iteration-cap`` after
+    :data:`TE_L2_MAX_STEPS` steps.
     """
     tau1 = float(tau1)
     if not (math.isfinite(tau1) and tau1 >= 0.0):
         raise InvalidInputError("tau1 must be a nonnegative finite float")
-    if max_iters < 1:
-        raise InvalidInputError("max_iters must be at least 1")
     xb = samples.xi_b
     xa = samples.xi_a
     n = samples.n_samples
@@ -259,13 +256,13 @@ def te_l2_solve(
         return x, objective(x), STATUS_CONVERGED
     stepsize = 1.0 / lipschitz
     status = STATUS_ITERATION_CAP
-    for _ in range(max_iters):
+    for _ in range(TE_L2_MAX_STEPS):
         r = xa - xb @ x
         grad = -2.0 * (xb.T @ r) / n + 2.0 * tau1 * x
         x_new = project_simplex(x - stepsize * grad)
         moved = float(np.linalg.norm(x_new - x))
         x = x_new
-        if moved <= tolerance:
+        if moved <= TE_L2_TOLERANCE:
             status = STATUS_CONVERGED
             break
     return x, objective(x), status

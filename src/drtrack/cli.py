@@ -195,7 +195,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             inner_iters=result.inner_iters,
             grad_evals=result.grad_evals,
             trials=result.trials,
-            wall_seconds=result.wall_seconds,
             alpha=result.nu.alpha,
         )
     elif isinstance(result, ScvarResult):

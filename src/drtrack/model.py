@@ -36,10 +36,6 @@ __all__ = [
     "DualPoint",
     "FeasibilityReport",
     "evaluate_khat",
-    "evaluate_h1",
-    "evaluate_dual_norm_term",
-    "evaluate_h2",
-    "evaluate_h",
     "h_values",
     "evaluate_phi_n",
     "portfolio_losses",
@@ -333,13 +329,8 @@ def evaluate_khat(x, alpha, xi, model: ModelParams) -> float:
     return value
 
 
-def evaluate_h1(nu: DualPoint, amb: AmbiguityParams, model: ModelParams) -> float:
-    """Sample-independent part of ``h``: multiplier terms plus penalties."""
-    _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
-    return _h1(nu.x, nu.alpha, nu.q, nu.lam, amb, model)
-
-
 def _h1(x, alpha, q, lam, amb: AmbiguityParams, model: ModelParams) -> float:
+    """Sample-free part of ``h``: multiplier terms plus penalties."""
     mu = amb.mu_hat
     value = amb.kappa2 * float(np.sum(amb.sigma_hat * lam))
     value += float(mu @ lam @ mu) + float(q @ mu)
@@ -347,42 +338,20 @@ def _h1(x, alpha, q, lam, amb: AmbiguityParams, model: ModelParams) -> float:
     return value
 
 
-def evaluate_dual_norm_term(q, lam, amb: AmbiguityParams) -> float:
-    """Mean-ellipsoid contribution ``sqrt(kappa1) * ||sigma_hat^(1/2) (q + 2 lam mu_hat)||``."""
-    q = _readonly_vector(q, "q", amb.dim)
-    lam = _readonly_matrix(lam, "lam", (amb.dim, amb.dim))
-    u = q + 2.0 * lam @ amb.mu_hat
-    return math.sqrt(amb.kappa1 * max(float(u @ amb.sigma_hat @ u), 0.0))
-
-
-def evaluate_h2(nu: DualPoint, xi, model: ModelParams) -> float:
-    """Sample-dependent part of ``h`` for one joint sample ``xi``."""
-    xi = _readonly_vector(xi, "xi")
-    _check_sample_dim(xi.shape[0], nu.dim, "xi")
-    xi_b, xi_a = xi[:-1], xi[-1]
-    loss = -float(xi_b @ nu.x)
-    c = float(xi_a) + loss
-    value = float(psi_value(c, model.psi))
-    value -= float(xi @ nu.lam @ xi) + float(nu.q @ xi)
-    value += model.cvar_coef * max(loss - nu.alpha, 0.0)
-    return value
-
-
-def evaluate_h(nu: DualPoint, xi, amb: AmbiguityParams, model: ModelParams) -> float:
-    """One max-component of the dual objective at sample ``xi``."""
-    return (
-        evaluate_h1(nu, amb, model)
-        + evaluate_dual_norm_term(nu.q, nu.lam, amb)
-        + evaluate_h2(nu, xi, model)
-    )
-
-
 def h_values(
     nu: DualPoint, samples: SampleSet, amb: AmbiguityParams, model: ModelParams
 ) -> np.ndarray:
-    """All max-components at once, shape ``(N,)``; row i matches ``evaluate_h``."""
+    """All max-components ``h(nu, xi_i)`` at once, shape ``(N,)``.
+
+    Each row is the sample-free part, plus the mean-ellipsoid term
+    ``sqrt(kappa1) * ||sigma_hat^(1/2) (q + 2 lam mu_hat)||``, plus the
+    terms of sample ``xi_i``.
+    """
     _check_sample_dim(samples.samples.shape[1], nu.dim, "samples")
-    base = evaluate_h1(nu, amb, model) + evaluate_dual_norm_term(nu.q, nu.lam, amb)
+    _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
+    u = nu.q + 2.0 * nu.lam @ amb.mu_hat
+    norm = math.sqrt(amb.kappa1 * max(float(u @ amb.sigma_hat @ u), 0.0))
+    base = _h1(nu.x, nu.alpha, nu.q, nu.lam, amb, model) + norm
     s = samples.samples
     losses = -(samples.xi_b @ nu.x)
     c = samples.xi_a + losses

@@ -52,7 +52,6 @@ __all__ = [
     "smooth_plus",
     "smooth_abs",
     "smooth_psi",
-    "smooth_h",
     "smooth_h_values",
     "smooth_phi",
     "grad_smooth_phi",
@@ -84,6 +83,11 @@ def _plus_and_tail(t: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Smooth plus-part of ``t`` and its tail ``exp(-|t| / mu)``."""
     tail = np.exp(-np.abs(t) / mu)
     return np.maximum(t, 0.0) + mu * np.log1p(tail), tail
+
+
+def _logistic(t: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``logistic(t / mu)`` from the tail ``exp(-|t| / mu)``, which cannot overflow."""
+    return np.where(t >= 0.0, 1.0, tail) / (1.0 + tail)
 
 
 def smooth_abs(a, mu):
@@ -213,8 +217,7 @@ def _gradient(
     weights = at.spread / at.spread_sum
     weights[weights < WEIGHT_FLUSH] = 0.0
 
-    # logistic(t / mu), from the tail exp(-|t| / mu) that cannot overflow
-    sig = np.where(parts.t >= 0.0, 1.0, at.tail) / (1.0 + at.tail)
+    sig = _logistic(parts.t, at.tail)
     psi_prime = _smooth_psi_prime(parts.c, mu, model.psi)
     coef = model.cvar_coef
 
@@ -258,17 +261,6 @@ def smooth_h_values(
 ) -> np.ndarray:
     """Smoothed max-components for every sample row, shape ``(N,)``."""
     return _checked(nu, samples, mu, amb, model)[2].vals
-
-
-def smooth_h(
-    nu: DualPoint, xi, mu, amb: AmbiguityParams, model: ModelParams
-) -> float:
-    """Smoothed max-component at a single joint sample ``xi``."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1:
-        raise InvalidInputError(f"xi must be a 1-d array, got shape {xi.shape}")
-    vals = smooth_h_values(nu, SampleSet(xi[None, :]), mu, amb, model)
-    return float(vals[0])
 
 
 def smooth_phi(

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +40,20 @@ from .model import (
     var_threshold,
 )
 from .projections import _project_flat
-from .smoothing import _at_level, _checked, _gradient, _smooth, _Smoothed, grad_smooth_phi
+from .smoothing import _at_level, _gradient, _smooth, _Smoothed
 
 # perfbench/layers.py wraps these names on this module to trace the
 # calls made through it; the solver itself runs on the flat kernels.
 from .projections import project_feasible  # noqa: F401
-from .smoothing import smooth_phi  # noqa: F401
+from .smoothing import grad_smooth_phi, smooth_phi  # noqa: F401
 
 __all__ = [
     "SpgParams",
-    "ArmijoStep",
     "SolveResult",
     "STATUS_CONVERGED",
     "STATUS_ITERATION_CAP",
     "STATUS_STALLED",
     "default_start",
-    "stationarity_residual",
-    "armijo_search",
     "spg_solve",
 ]
 
@@ -128,16 +124,6 @@ class SpgParams:
                 raise InvalidInputError(message)
 
 
-class ArmijoStep(NamedTuple):
-    """Outcome of one backtracking projected-gradient step."""
-
-    y_next: DualPoint
-    objective: float
-    stepsize: float
-    backtracks: int
-    stalled: bool
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Terminal state and accounting of one solver run.
@@ -189,21 +175,10 @@ def _residual(y: np.ndarray, g: np.ndarray, d: int) -> float:
     return float(np.linalg.norm(_project_flat(y - g, d)[0] - y))
 
 
-def stationarity_residual(
-    nu: DualPoint,
-    samples: SampleSet,
-    mu,
-    amb: AmbiguityParams,
-    model: ModelParams,
-) -> float:
-    """Norm of the unit-step projected-gradient displacement at ``nu``."""
-    grad = grad_smooth_phi(nu, samples, mu, amb, model)
-    return _residual(nu.to_array(), grad.to_array(), nu.dim)
-
-
-def _not_finite(what: str, mu: float, k: int | None) -> NumericalError:
-    where = "" if k is None else f" in outer iteration {k}"
-    return NumericalError(f"smoothed {what} is not finite at mu={mu:.3g}{where}")
+def _not_finite(what: str, mu: float, k: int) -> NumericalError:
+    return NumericalError(
+        f"smoothed {what} is not finite at mu={mu:.3g} in outer iteration {k}"
+    )
 
 
 def _spectral_step(s: np.ndarray, r: np.ndarray, spg: SpgParams) -> float:
@@ -223,7 +198,7 @@ def _spectral_step(s: np.ndarray, r: np.ndarray, spg: SpgParams) -> float:
 
 def _armijo_flat(
     y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, d: int, mu: float,
-    samples, amb, model, spg, k=None,
+    samples, amb, model, spg, k: int,
 ) -> tuple[np.ndarray, _Smoothed | None, float, int]:
     """Flat Armijo step from first trial ``stepsize``: ``(point, smoothed, stepsize, backtracks)``.
 
@@ -241,30 +216,6 @@ def _armijo_flat(
     if not math.isfinite(at.value):
         raise _not_finite("objective", mu, k)
     return y, None, stepsize, spg.max_backtracks + 1
-
-
-def armijo_search(
-    y: DualPoint,
-    mu,
-    samples: SampleSet,
-    amb: AmbiguityParams,
-    model: ModelParams,
-    spg: SpgParams = SpgParams(),
-) -> ArmijoStep:
-    """One Armijo-backtracked projected-gradient step from ``y``.
-
-    Halves the trial stepsize until the sufficient-decrease test
-    against the projected step passes; reports a stall after
-    ``max_backtracks`` rejections instead of looping forever.
-    """
-    flat, mu, at = _checked(y, samples, mu, amb, model)
-    grad = _gradient(flat, y.dim, at, samples, mu, amb, model)
-    point, trial, stepsize, backtracks = _armijo_flat(
-        flat, at.value, grad, spg.alpha0, y.dim, mu, samples, amb, model, spg
-    )
-    if trial is None:
-        return ArmijoStep(y, at.value, stepsize, backtracks, True)
-    return ArmijoStep(DualPoint.from_array(point, y.dim), trial.value, stepsize, backtracks, False)
 
 
 def spg_solve(

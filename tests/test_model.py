@@ -15,15 +15,13 @@ from drtrack.model import (
     SampleSet,
     check_moment_feasibility,
     cvar_discrete,
-    evaluate_h,
-    evaluate_h1,
-    evaluate_h2,
     evaluate_khat,
     evaluate_phi_n,
+    h_values,
+    portfolio_losses,
     psi_value,
     var_threshold,
 )
-from drtrack.model import evaluate_dual_norm_term, h_values, portfolio_losses
 from drtrack.projections import project_feasible
 
 
@@ -146,6 +144,7 @@ def test_evaluate_khat_rejects_dimension_mismatch():
 
 
 def test_evaluate_h_matches_reference_and_decomposes():
+    # each row is a sample-free part shared by all rows plus its own sample's terms
     rng = np.random.default_rng(33)
     for kind in (PsiKind.SQUARED, PsiKind.ABSOLUTE):
         samples, amb, model = gaussian_instance(
@@ -153,31 +152,59 @@ def test_evaluate_h_matches_reference_and_decomposes():
         )
         for _ in range(25):
             nu = random_dual_point(rng, 4)
-            xi = samples.samples[int(rng.integers(0, 12))]
-            got = evaluate_h(nu, xi, amb, model)
+            rows = h_values(nu, samples, amb, model)
+            i = int(rng.integers(0, 12))
+            xi = samples.samples[i]
             want = oracles.scenario_h_reference(
                 nu.x, nu.alpha, nu.q, nu.lam, xi, amb, model
             )
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-            parts = (
-                evaluate_h1(nu, amb, model)
-                + evaluate_dual_norm_term(nu.q, nu.lam, amb)
-                + evaluate_h2(nu, xi, model)
+            assert rows[i] == pytest.approx(want, rel=1e-10, abs=1e-12)
+            u = nu.q + 2.0 * nu.lam @ amb.mu_hat
+            shared = (
+                model.tau1 * float(nu.x @ nu.x)
+                + model.tau2 * nu.alpha
+                + amb.kappa2 * float(np.sum(amb.sigma_hat * nu.lam))
+                + float(amb.mu_hat @ nu.lam @ amb.mu_hat)
+                + float(nu.q @ amb.mu_hat)
+                + np.sqrt(amb.kappa1 * float(u @ amb.sigma_hat @ u))
             )
-            assert got == pytest.approx(parts, rel=1e-12, abs=1e-13)
+            for j, xj in enumerate(samples.samples):
+                loss = -float(nu.x @ xj[:-1])
+                own = (
+                    psi_value(xj[-1] + loss, kind)
+                    + model.cvar_coef * max(loss - nu.alpha, 0.0)
+                    - float(nu.q @ xj)
+                    - float(xj @ nu.lam @ xj)
+                )
+                assert rows[j] == pytest.approx(shared + own, rel=1e-12, abs=1e-13)
 
 
 def test_h_values_matches_scalar_evaluations():
+    # every row against the oracle's one-sample evaluation of h
     rng = np.random.default_rng(45)
-    samples, amb, model = gaussian_instance(3, d=3, n=15, scale=0.5,
-                                            tau1=0.1, tau2=0.05, beta=0.9)
-    for _ in range(10):
-        nu = random_dual_point(rng, 3)
-        rows = h_values(nu, samples, amb, model)
-        for i in range(samples.n_samples):
-            assert rows[i] == pytest.approx(
-                evaluate_h(nu, samples.samples[i], amb, model), rel=1e-12, abs=1e-12
-            )
+    for kind in (PsiKind.SQUARED, PsiKind.ABSOLUTE):
+        samples, amb, model = gaussian_instance(
+            3, d=3, n=15, scale=0.5, tau1=0.1, tau2=0.05, beta=0.9, psi=kind
+        )
+        for _ in range(10):
+            nu = random_dual_point(rng, 3)
+            rows = h_values(nu, samples, amb, model)
+            assert rows.shape == (15,)
+            for i, xi in enumerate(samples.samples):
+                want = oracles.scenario_h_reference(
+                    nu.x, nu.alpha, nu.q, nu.lam, xi, amb, model
+                )
+                assert rows[i] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_h_values_reject_dimension_mismatch():
+    samples, _, model = gaussian_instance(5, d=3, n=10)
+    _, amb4, _ = gaussian_instance(5, d=4, n=10)
+    nu = random_dual_point(np.random.default_rng(1), 3)
+    with pytest.raises(InvalidInputError):
+        h_values(nu, samples, amb4, model)
+    with pytest.raises(InvalidInputError):
+        evaluate_phi_n(nu, samples, amb4, model)
 
 
 def test_evaluate_phi_n_matches_brute_maximum():

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import oracles
 from helpers import gaussian_instance, random_dual_point
 from drtrack.errors import InvalidInputError
-from drtrack.model import DualPoint, PsiKind, SampleSet, evaluate_h, h_values
+from drtrack.model import DualPoint, PsiKind, SampleSet, h_values
 from drtrack.projections import _project_flat, project_feasible
 from drtrack.smoothing import (
     grad_smooth_phi,
     smooth_abs,
-    smooth_h,
     smooth_h_values,
     smooth_phi,
     smooth_plus,
@@ -82,9 +81,8 @@ def test_smooth_h_dominates_exact_h():
         for mu in (1.0, 1e-2, 1e-4):
             for _ in range(10):
                 nu = random_dual_point(rng, 3)
-                xi = samples.samples[int(rng.integers(0, 12))]
-                exact = evaluate_h(nu, xi, amb, model)
-                smooth = smooth_h(nu, xi, mu, amb, model)
+                exact = h_values(nu, samples, amb, model)
+                smooth = smooth_h_values(nu, samples, mu, amb, model)
                 # each smoothed piece dominates its exact counterpart
                 upper = (
                     exact
@@ -92,19 +90,8 @@ def test_smooth_h_dominates_exact_h():
                     + np.sqrt(mu)
                     + (np.sqrt(mu) if kind is PsiKind.ABSOLUTE else 0.0)
                 )
-                assert exact - 1e-12 <= smooth <= upper + 1e-12
-
-
-def test_smooth_h_values_matches_single_rows():
-    rng = np.random.default_rng(29)
-    samples, amb, model = gaussian_instance(13, d=3, n=9, scale=0.5,
-                                            tau1=0.1, tau2=0.05, beta=0.9)
-    nu = random_dual_point(rng, 3)
-    rows = smooth_h_values(nu, samples, 1e-2, amb, model)
-    for i in range(samples.n_samples):
-        assert rows[i] == pytest.approx(
-            smooth_h(nu, samples.samples[i], 1e-2, amb, model), rel=1e-12
-        )
+                assert np.all(exact - 1e-12 <= smooth)
+                assert np.all(smooth <= upper + 1e-12)
 
 
 def test_smooth_h_values_rejects_dimension_mismatch():

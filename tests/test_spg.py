@@ -9,16 +9,15 @@ from drtrack import spg as spg_module
 from drtrack.errors import InvalidInputError, NumericalError
 from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
 from drtrack.model import AmbiguityParams, DualPoint, ModelParams, SampleSet, evaluate_phi_n, var_threshold
-from drtrack.smoothing import smooth_phi
+from drtrack.smoothing import grad_smooth_phi
 from drtrack.spg import (
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
     SpgParams,
+    _residual,
     _spectral_step,
-    armijo_search,
     default_start,
     spg_solve,
-    stationarity_residual,
 )
 
 
@@ -52,20 +51,6 @@ def test_default_start_is_feasible_var_threshold():
     assert np.all(nu.q == 0.0) and np.all(nu.lam == 0.0)
 
 
-def test_armijo_step_decreases_smoothed_objective():
-    samples, amb, model = tracking_instance(1)
-    y = vertex_start(3)
-    for mu in (1.0, 1e-2):
-        before = smooth_phi(y, samples, mu, amb, model)
-        step = armijo_search(y, mu, samples, amb, model)
-        assert not step.stalled
-        assert step.objective <= before
-        assert 0.0 < step.stepsize <= SpgParams().alpha0
-        assert step.objective == pytest.approx(
-            smooth_phi(step.y_next, samples, mu, amb, model), rel=1e-12
-        )
-
-
 def test_spg_solve_converges_with_real_descent():
     samples, amb, model = tracking_instance(0)
     res = spg_solve(vertex_start(3), samples, amb, model, SpgParams(),
@@ -83,9 +68,9 @@ def test_spg_solve_converges_with_real_descent():
         evaluate_phi_n(res.nu, samples, amb, model)[0], rel=1e-12
     )
     # residual is reproducible from the final iterate and smoothing level
+    grad = grad_smooth_phi(res.nu, samples, res.mu_final, amb, model)
     assert res.residual == pytest.approx(
-        stationarity_residual(res.nu, samples, res.mu_final, amb, model),
-        rel=1e-9,
+        _residual(res.nu.to_array(), grad.to_array(), 3), rel=1e-9
     )
 
 
@@ -199,9 +184,6 @@ def test_one_kernel_pass_per_point(monkeypatch):
 
     monkeypatch.setattr(smoothing, "_smooth", counting)
     monkeypatch.setattr(spg_module, "_smooth", counting)
-    # the start point's value and gradient share one pass; one per trial
-    step = armijo_search(vertex_start(3), 1e-2, samples, amb, model)
-    assert len(passes) == 1 + step.backtracks + 1
     # a solve makes one pass at the start, traced or not, and one per
     # trial; new smoothing levels and the final residual reuse them
     for record in (False, True):
