@@ -332,7 +332,7 @@ def evaluate_khat(x, alpha, xi, model: ModelParams) -> float:
 def _h1(x, alpha, q, lam, amb: AmbiguityParams, model: ModelParams) -> float:
     """Sample-free part of ``h``: multiplier terms plus penalties."""
     mu = amb.mu_hat
-    value = amb.kappa2 * float(np.sum(amb.sigma_hat * lam))
+    value = amb.kappa2 * float((amb.sigma_hat * lam).sum())
     value += float(mu @ lam @ mu) + float(q @ mu)
     value += model.tau1 * float(x @ x) + model.tau2 * alpha
     return value

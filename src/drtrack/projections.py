@@ -28,14 +28,19 @@ def project_simplex(v) -> np.ndarray:
         raise InvalidInputError(f"v must be a non-empty 1-d array, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise InvalidInputError("v contains non-finite entries")
+    return _simplex(v)
+
+
+def _simplex(v: np.ndarray) -> np.ndarray:
+    """:func:`project_simplex` of a finite, non-empty 1-d float array, unchecked."""
     # The projection is invariant under a common shift; shifting the top
     # entry to zero keeps rank one in the support however large ``v`` is.
     v = v - v.max()
     u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
+    cumulative = u.cumsum() - 1.0
     ranks = np.arange(1, v.shape[0] + 1)
     support = u - cumulative / ranks > 0
-    rho = int(np.nonzero(support)[0][-1])
+    rho = int(support.nonzero()[0][-1])
     theta = cumulative[rho] / (rho + 1)
     return np.maximum(v - theta, 0.0)
 
@@ -66,7 +71,7 @@ def _psd_parts(a: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
     """
     eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
     # eigh sorts ascending: the positive eigenvalues are the last ones.
-    first = int(np.searchsorted(eigvals, 0.0, side="right"))
+    first = int(eigvals.searchsorted(0.0, side="right"))
     pos = eigvecs[:, first:] * np.sqrt(eigvals[first:])
     return pos @ pos.T, (pos, pos.shape[1])
 
@@ -100,9 +105,12 @@ def _project_flat(vec: np.ndarray, d: int) -> tuple[np.ndarray, tuple[np.ndarray
 
     Returns ``vec`` and the PSD factor of its ``lam`` block (see
     :func:`_psd_parts`), which the smoothing kernel uses for the
-    quadratic terms.
+    quadratic terms.  Only the ``x`` block is checked, for finiteness:
+    the solver builds ``vec`` itself.
     """
     x, _, _, lam = _split_flat(vec, d)
-    x[:] = project_simplex(x)
+    if not np.isfinite(x).all():
+        raise InvalidInputError("v contains non-finite entries")
+    x[:] = _simplex(x)
     lam[:], factor = _psd_parts(lam)
     return vec, factor

@@ -93,20 +93,25 @@ def _logistic(t: np.ndarray, tail: np.ndarray) -> np.ndarray:
 def smooth_abs(a, mu):
     """Smooth absolute value ``sqrt(a^2 + mu)``, elementwise."""
     mu = _mu_value(mu)
-    a = np.asarray(a, dtype=float)
-    out = np.sqrt(np.square(a) + mu)
+    out = _psi(np.asarray(a, dtype=float), mu, PsiKind.ABSOLUTE)
     return float(out) if out.ndim == 0 else out
 
 
 def smooth_psi(c, mu, kind: PsiKind):
     """Smoothed tracking penalty; the squared kind is already smooth."""
-    if kind is PsiKind.SQUARED:
-        c = np.asarray(c, dtype=float)
-        out = np.square(c)
-        return float(out) if out.ndim == 0 else out
     if kind is PsiKind.ABSOLUTE:
-        return smooth_abs(c, mu)
-    raise InvalidInputError(f"unknown psi kind {kind!r}")
+        mu = _mu_value(mu)
+    elif kind is not PsiKind.SQUARED:
+        raise InvalidInputError(f"unknown psi kind {kind!r}")
+    out = _psi(np.asarray(c, dtype=float), mu, kind)
+    return float(out) if out.ndim == 0 else out
+
+
+def _psi(c: np.ndarray, mu: float, kind: PsiKind) -> np.ndarray:
+    """:func:`smooth_psi` of a float array at a valid ``mu`` and kind, unchecked."""
+    if kind is PsiKind.SQUARED:
+        return np.square(c)
+    return np.sqrt(np.square(c) + mu)
 
 
 def _smooth_psi_prime(c: np.ndarray, mu: float, kind: PsiKind) -> np.ndarray:
@@ -180,7 +185,7 @@ def _at_level(parts: _Parts, mu: float, amb, model) -> _Smoothed:
     vals = (
         parts.h1
         + norm_val
-        + smooth_psi(parts.c, mu, model.psi)
+        + _psi(parts.c, mu, model.psi)
         - parts.quad
         + model.cvar_coef * plus
     )
@@ -199,17 +204,21 @@ def _smooth(
 
 
 def _gradient(
-    flat: np.ndarray, d: int, at: _Smoothed, samples: SampleSet, mu: float, amb, model
+    flat: np.ndarray, d: int, at: _Smoothed, samples: SampleSet, samples_t: np.ndarray,
+    mu: float, amb, model,
 ) -> np.ndarray:
     """Flat gradient of the smoothed objective from its components ``at``.
 
     The gradient is the softmax-weighted combination of the component
     gradients.  ``s' w`` and ``xi_b' v`` come from one two-column
     product and the weighted Gram ``s' diag(w) s`` from one symmetric
-    rank-k update of ``sqrt(w) s``.  The matrix block is symmetrised
-    so ascent directions stay inside the symmetric matrices that the
-    feasible set uses.
+    rank-k update of ``sqrt(w) s``, scaled in ``samples_t``, a
+    contiguous ``(d + 1) x N`` copy of ``s'``: numpy scales its rows
+    faster than the columns of ``s``, to the same Gram.  The matrix
+    block is symmetrised so ascent directions stay inside the symmetric
+    matrices that the feasible set uses.
     """
+    m = d + 1
     x = flat[:d]
     s = samples.samples
     mu_hat = amb.mu_hat
@@ -225,21 +234,23 @@ def _gradient(
     pair[:, 0] = weights
     np.multiply(weights, psi_prime + coef * sig, out=pair[:, 1])
     sums = s.T @ pair
-    scaled = s * np.sqrt(weights)[:, None]
-    gram = scaled.T @ scaled
+    scaled = samples_t * np.sqrt(weights)
+    gram = scaled @ scaled.T
 
-    gx = 2.0 * model.tau1 * x - sums[:d, 1]
-    galpha = model.tau2 - coef * float(weights @ sig)
+    grad = np.empty(d + 1 + m + m * m)
+    grad[:d] = 2.0 * model.tau1 * x - sums[:d, 1]
+    grad[d] = model.tau2 - coef * float(weights @ sig)
     g_norm = (amb.kappa1 / at.norm_val) * parts.su
-    gq = mu_hat + g_norm - sums[:, 0]
+    grad[d + 1 : d + 1 + m] = mu_hat + g_norm - sums[:, 0]
     glam = (
         amb.kappa2 * amb.sigma_hat
-        + np.outer(mu_hat, mu_hat)
-        + 2.0 * np.outer(g_norm, mu_hat)
+        + mu_hat[:, None] * mu_hat
+        + 2.0 * (g_norm[:, None] * mu_hat)
         - gram
     )
-    glam = 0.5 * (glam + glam.T)
-    return np.concatenate([gx, [galpha], gq, glam.ravel()])
+    np.add(glam, glam.T, out=grad[d + 1 + m :].reshape(m, m))
+    grad[d + 1 + m :] *= 0.5
+    return grad
 
 
 def _checked(nu: DualPoint, samples: SampleSet, mu, amb: AmbiguityParams, model: ModelParams):
@@ -283,4 +294,6 @@ def grad_smooth_phi(
 ) -> DualPoint:
     """Gradient of :func:`smooth_phi`, packaged blockwise as a DualPoint."""
     flat, mu, at = _checked(nu, samples, mu, amb, model)
-    return DualPoint.from_array(_gradient(flat, nu.dim, at, samples, mu, amb, model), nu.dim)
+    samples_t = np.ascontiguousarray(samples.samples.T)
+    grad = _gradient(flat, nu.dim, at, samples, samples_t, mu, amb, model)
+    return DualPoint.from_array(grad, nu.dim)

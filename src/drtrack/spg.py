@@ -16,9 +16,11 @@ entry and builds one :class:`DualPoint` on exit.  In between it works
 on one flat vector ``(x | alpha | q | vec(lam))``; the gradient at an
 accepted trial reuses the smoothed components that trial computed, and
 a new smoothing level re-runs only the kernel's O(N) stage on that
-trial's mu-free parts.  A
-non-finite smoothed gradient, or a line search that fails on a
-non-finite trial value, raises :class:`NumericalError`.
+trial's mu-free parts.  Each outer iteration projects ``y - g`` once,
+for the residual; when a phase's first trial step is exactly 1, that
+projection is its first trial.  A non-finite smoothed gradient, or a
+line search that fails on a non-finite trial value, raises
+:class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -170,9 +172,16 @@ def default_start(samples: SampleSet, model: ModelParams) -> DualPoint:
     )
 
 
+def _unit_step(y: np.ndarray, g: np.ndarray, d: int) -> tuple[tuple, float]:
+    """The projected unit step ``(P(y - g), factor)`` and the residual ``||P(y - g) - y||``."""
+    projected = _project_flat(y - g, d)
+    step = projected[0] - y
+    return projected, math.sqrt(step @ step)
+
+
 def _residual(y: np.ndarray, g: np.ndarray, d: int) -> float:
     """Norm of the unit-step projected-gradient displacement at flat ``y``."""
-    return float(np.linalg.norm(_project_flat(y - g, d)[0] - y))
+    return _unit_step(y, g, d)[1]
 
 
 def _not_finite(what: str, mu: float, k: int) -> NumericalError:
@@ -198,17 +207,22 @@ def _spectral_step(s: np.ndarray, r: np.ndarray, spg: SpgParams) -> float:
 
 def _armijo_flat(
     y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, d: int, mu: float,
-    samples, amb, model, spg, k: int,
+    samples, amb, model, spg, k: int, projected: tuple | None,
 ) -> tuple[np.ndarray, _Smoothed | None, float, int]:
     """Flat Armijo step from first trial ``stepsize``: ``(point, smoothed, stepsize, backtracks)``.
 
-    ``smoothed`` is the kernel result at the accepted point, or None
-    after a stall, when the point is ``y`` and ``backtracks`` counts all
+    ``projected``, when given, is the projection ``(point, factor)`` of
+    ``y - stepsize * g``, which the caller already holds; it is the first
+    trial.  ``smoothed`` is the kernel result at the accepted point, or
+    None after a stall, when the point is ``y`` and ``backtracks`` counts all
     ``max_backtracks + 1`` failed trials.  A stall on a non-finite last
     trial value raises :class:`NumericalError` naming outer iteration ``k``.
     """
     for backtracks in range(spg.max_backtracks + 1):
-        cand, factor = _project_flat(y - stepsize * g, d)
+        if backtracks == 0 and projected is not None:
+            cand, factor = projected
+        else:
+            cand, factor = _project_flat(y - stepsize * g, d)
         at = _smooth(cand, factor, d, samples, mu, amb, model)
         if at.value <= fy + spg.sigma * float(g @ (cand - y)):
             return cand, at, stepsize, backtracks
@@ -244,6 +258,7 @@ def spg_solve(
         )
     _check_sample_dim(amb.dim, d, "ambiguity parameters")
     start_time = time.perf_counter()
+    samples_t = np.ascontiguousarray(samples.samples.T)
     y, factor = _project_flat(nu0.to_array(), d)
     mu_k = spg.mu0
     grad_evals = 0
@@ -262,7 +277,7 @@ def spg_solve(
     def gradient(point: np.ndarray, at: _Smoothed, k: int) -> np.ndarray:
         nonlocal grad_evals
         grad_evals += 1
-        g = _gradient(point, d, at, samples, mu_k, amb, model)
+        g = _gradient(point, d, at, samples, samples_t, mu_k, amb, model)
         if not np.isfinite(g).all():
             raise _not_finite("gradient", mu_k, k)
         return g
@@ -273,7 +288,7 @@ def spg_solve(
     _trace_point(at.value)
     for k in range(spg.max_outer_iters):
         g = gradient(y, at, k)
-        residual = _residual(y, g, d)
+        unit, residual = _unit_step(y, g, d)
         if residual <= spg.epsilon and mu_k <= spg.mu_stop:
             status = STATUS_CONVERGED
             outer_done = k
@@ -287,8 +302,10 @@ def spg_solve(
                 if j > 1:
                     g_prev, g = g, gradient(y, at, k)
                     first = _spectral_step(step, g - g_prev, spg)
+                # P(y - 1.0 * g) is the unit step that the residual projected
+                projected = unit if j == 1 and first == 1.0 else None
                 y_next, trial, stepsize, backtracks = _armijo_flat(
-                    y, fy, g, first, d, mu_k, samples, amb, model, spg, k
+                    y, fy, g, first, d, mu_k, samples, amb, model, spg, k, projected
                 )
                 if trial is None:
                     trials += backtracks
@@ -296,7 +313,7 @@ def spg_solve(
                     break
                 trials += backtracks + 1
                 step = y_next - y
-                displacement = float(np.linalg.norm(step))
+                displacement = math.sqrt(step @ step)
                 y, at, fy = y_next, trial, trial.value
                 phase_log.append(fy)
                 inner_total += 1

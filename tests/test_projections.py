@@ -130,6 +130,20 @@ def test_project_flat_returns_the_factor_of_its_psd_block():
             assert np.max(np.abs(cols @ cols.T - lam)) <= 1e-12
 
 
+def test_project_flat_simplex_block_is_bitwise_project_simplex():
+    rng = np.random.default_rng(17)
+    for d in range(1, 41):
+        vec = random_dual_point(rng, d, scale=2.0).to_array()
+        want = project_simplex(vec[:d])
+        flat, _ = _project_flat(vec, d)
+        assert np.array_equal(flat[:d], want)
+    for bad in (np.nan, np.inf, -np.inf):
+        vec = random_dual_point(rng, 3).to_array()
+        vec[1] = bad
+        with pytest.raises(InvalidInputError):
+            _project_flat(vec, 3)
+
+
 def test_psd_parts_is_bitwise_the_positive_half_of_the_signed_factor():
     rng = np.random.default_rng(31)
     for size in (2, 9, 31):

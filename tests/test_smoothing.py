@@ -18,6 +18,7 @@ from drtrack.smoothing import (
     smooth_plus,
     smooth_psi,
     _at_level,
+    _psi,
     _smooth,
 )
 
@@ -70,6 +71,15 @@ def test_smooth_psi_kinds():
     assert smooth_psi(-2.0, 1e-2, PsiKind.ABSOLUTE) == smooth_abs(-2.0, 1e-2)
     with pytest.raises(InvalidInputError):
         smooth_psi(1.0, 1e-2, "absolute")
+
+
+def test_smooth_psi_is_bitwise_its_unchecked_core():
+    rng = np.random.default_rng(23)
+    c = rng.normal(scale=3.0, size=200)
+    for kind in PsiKind:
+        for mu in (1e-8, 1e-2, 1.0):
+            assert np.array_equal(smooth_psi(c, mu, kind), _psi(c, mu, kind))
+            assert smooth_psi(float(c[0]), mu, kind) == _psi(c[:1], mu, kind)[0]
 
 
 def test_smooth_h_dominates_exact_h():

@@ -194,6 +194,36 @@ def test_one_kernel_pass_per_point(monkeypatch):
         assert len(passes) == 1 + res.trials
 
 
+def test_unit_first_trial_reuses_the_residual_projection(monkeypatch):
+    samples, amb, model = tracking_instance(1)
+    real_project, real_smooth = spg_module._project_flat, spg_module._smooth
+    projections, passes = [], []
+
+    def counting_project(*args):
+        projections.append(1)
+        return real_project(*args)
+
+    def counting_smooth(*args):
+        passes.append(1)
+        return real_smooth(*args)
+
+    monkeypatch.setattr(spg_module, "_project_flat", counting_project)
+    monkeypatch.setattr(spg_module, "_smooth", counting_smooth)
+    for alpha0 in (1.0, 0.5):
+        projections.clear()
+        passes.clear()
+        res = spg_solve(vertex_start(3), samples, amb, model,
+                        SpgParams(alpha0=alpha0, max_outer_iters=8), record_trace=True)
+        phases = len(res.phase_objectives)
+        assert phases >= 1
+        # the start, one residual per outer iteration, the final residual
+        # (or, on convergence, the residual that converged) and one per
+        # trial; at alpha0 = 1 each phase's first trial is the residual's
+        reused = phases if alpha0 == 1.0 else 0
+        assert len(projections) == 1 + res.outer_iters + 1 + res.trials - reused
+        assert len(passes) == 1 + res.trials
+
+
 def test_spectral_first_trial_rule():
     spg = SpgParams(alpha0=2.0, rho=0.5, max_backtracks=4)
     s = np.array([1.0, 0.0, 2.0])
