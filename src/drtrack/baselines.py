@@ -22,7 +22,7 @@ from .model import (
     psi_value,
     var_threshold,
 )
-from .projections import project_simplex
+from .projections import _simplex, project_simplex
 from .smoothing import _logistic, _smooth_psi_prime, smooth_psi
 from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
@@ -130,6 +130,30 @@ def _smoothed_threshold(losses: np.ndarray, alpha: float, mu: float, beta: float
     return alpha, np.maximum(z, 0.0) + mu * np.log1p(tail), sig
 
 
+def _fenchel_bound(v, g, galpha, xi_a, model: ModelParams, a_lo, a_hi) -> float:
+    """Weak-duality lower bound on the minimum of :func:`scvar_objective`.
+
+    With ``psi(c) >= v c - psi*(v)``, where ``psi*(v)`` is ``v**2 / 4``
+    for the squared penalty and 0 on ``[-1, 1]`` for the absolute one,
+    and ``(t)_+ >= s t`` for ``s`` in ``[0, 1]``, the objective is at
+    least ``mean(v xi_a - psi*(v)) + alpha galpha + tau1 ||x||^2 - g'x``
+    for ``g = xi_b' (v + cvar_coef s) / N`` and
+    ``galpha = tau2 - cvar_coef mean(s)``.  The bound is its minimum
+    over the simplex and the thresholds in ``[a_lo, a_hi]``, which hold
+    an optimal threshold of every ``x``.
+    """
+    n = v.shape[0]
+    if model.psi is PsiKind.SQUARED:
+        value = float(v @ (xi_a - 0.25 * v)) / n
+    else:
+        value = float(v @ xi_a) / n
+    value += min(a_lo * galpha, a_hi * galpha)
+    if model.tau1 > 0.0:
+        p = _simplex(g / (2.0 * model.tau1))
+        return value + model.tau1 * float(p @ p) - float(g @ p)
+    return value - float(g.max())
+
+
 def scvar_solve(
     samples: SampleSet,
     model: ModelParams,
@@ -138,17 +162,20 @@ def scvar_solve(
 ) -> ScvarResult:
     """Certified minimisation of the sample-average CVaR objective.
 
-    Upper bound: the exact objective, threshold at the loss quantile
-    (Rockafellar & Uryasev 2000), both taken from the losses the surrogate
-    formed, so each evaluated point costs one product with the samples.
-    Lower bound: a surrogate (Nesterov 2005) with plus-parts and ``|c|``
-    smoothed at a level ``mu`` in return units and the threshold minimised
-    exactly, less its Frank-Wolfe gap and smoothing margin.  FISTA from
-    uniform weights, with backtracking on the Lipschitz estimate and a
-    function-value restart, minimises the surrogate; ``mu`` halves once
-    that gap falls under the margin.  Stops
-    ``converged`` once the relative gap is at most :data:`GAP_TOLERANCE`,
-    else ``iteration-cap`` after ``params.max_iters`` iterations.
+    FISTA from uniform weights, with backtracking on the Lipschitz
+    estimate and a function-value restart, minimises a surrogate
+    (Nesterov 2005) with plus-parts and ``|c|`` smoothed at a level
+    ``mu`` in return units and the threshold minimised exactly; with no
+    CVaR weight the threshold enters neither, and is not solved for.
+    ``mu`` halves once the surrogate's Frank-Wolfe gap falls under its
+    smoothing margin.  Upper bound: the exact objective, threshold at the
+    loss quantile (Rockafellar & Uryasev 2000), taken from the losses the
+    surrogate formed, so each evaluated point costs one product with the
+    samples.  Lower bound: the Fenchel dual bound (:func:`_fenchel_bound`)
+    at the surrogate's own multipliers, whose ``g`` is read off the
+    surrogate's gradient.  Stops ``converged`` once the relative gap is
+    at most :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
+    ``params.max_iters`` iterations.
     """
     start_time = time.perf_counter()
     xi_b, xi_a, n = samples.xi_b, samples.xi_a, samples.n_samples
@@ -163,29 +190,36 @@ def scvar_solve(
     # Lipschitz estimate: the trace of a Hessian bound (0 only if the gradient is).
     curvature = (2.0 if model.psi is PsiKind.SQUARED else 1.0 / mu) + coef / (4.0 * mu)
     lipschitz = (float(np.sum(np.square(xi_b))) / n * curvature + 2.0 * tau1) or 1.0
-    # Optimal and solved thresholds lie in the (shifted) asset losses' range.
-    reach = float(xi_b.max() - xi_b.min())
+    # Every x has an optimal threshold among its losses, so in [a_lo, a_hi].
+    a_lo, a_hi = -float(xi_b.max()), -float(xi_b.min())
+    reach = a_hi - a_lo
 
     def surrogate(w: np.ndarray, a: float):
         """Value, x-gradient and alpha-derivative at ``w``, the alpha minimising
-        it and the losses ``-(xi_b @ w)``."""
+        it, the losses ``-(xi_b @ w)`` and the multipliers ``psi'(c)``."""
         losses = -(xi_b @ w)
-        a, plus, sig = _smoothed_threshold(losses, a, mu, beta)
         c = xi_a + losses
-        value = float((smooth_psi(c, mu * mu, model.psi) + coef * plus).sum()) / n
+        terms = smooth_psi(c, mu * mu, model.psi)
+        v = weights = _smooth_psi_prime(c, mu * mu, model.psi)
+        galpha = 0.0
+        if coef > 0.0:
+            a, plus, sig = _smoothed_threshold(losses, a, mu, beta)
+            terms = terms + coef * plus
+            weights = v + coef * sig
+            galpha = tau2 - coef * (float(sig.sum()) / n)
+        value = float(terms.sum()) / n
         value += tau1 * float(w @ w) + tau2 * a
-        weights = _smooth_psi_prime(c, mu * mu, model.psi) + coef * sig
         grad = 2.0 * tau1 * w - xi_b.T @ weights / n
-        return value, grad, tau2 - coef * (float(sig.sum()) / n), a, losses
+        return value, grad, galpha, a, losses, v
 
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     fx, t = math.inf, 1.0
     for k in range(params.max_iters):
-        fy, gy, _, alpha, _ = surrogate(y, alpha)
+        fy, gy, _, alpha, _, _ = surrogate(y, alpha)
         lipschitz *= _LIPSCHITZ_DECAY
         while True:
             x_new = project_simplex(y - gy / lipschitz)
-            f_new, g_new, galpha, alpha_new, losses = surrogate(x_new, alpha)
+            f_new, g_new, galpha, alpha_new, losses, v = surrogate(x_new, alpha)
             step = x_new - y
             if f_new <= fy + float(gy @ step) + 0.5 * lipschitz * float(step @ step):
                 break
@@ -194,16 +228,17 @@ def scvar_solve(
         exact = _scvar_value(x_new, quantile, losses, xi_a, model)
         if exact < upper:
             upper, best_x, best_alpha = exact, x_new, quantile
-        # Joint convexity: the surrogate's minimum is at least its linearisation
-        # at (x_new, alpha_new) minimised over the simplex and the reachable alphas.
-        fw_gap = float(g_new @ x_new - g_new.min()) + abs(galpha) * reach
+        # g_new = 2 tau1 x_new - xi_b' (v + coef sig) / n, so no new product.
+        bound = _fenchel_bound(v, 2.0 * tau1 * x_new - g_new, galpha, xi_a, model, a_lo, a_hi)
         # The optimum lies under upper, so a lower bound above it is rounding.
-        lower = min(max(lower, f_new - fw_gap - margin_rate * mu), upper)
+        lower = min(max(lower, bound), upper)
         gap = (upper - lower) / max(abs(upper), math.ulp(0.0))
         if trace is not None:
             trace.append((time.perf_counter() - start_time, upper))
         if gap <= GAP_TOLERANCE:
             break
+        # The surrogate's Frank-Wolfe gap over the simplex and the alphas in reach.
+        fw_gap = float(g_new @ x_new - g_new.min()) + abs(galpha) * reach
         if fw_gap <= margin_rate * mu and (0.5 * mu) ** 2 > 0.0:
             # The margin dominates: sharpen while mu**2 stays positive, and
             # restart with no surrogate value at the new level yet.
