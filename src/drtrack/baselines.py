@@ -18,6 +18,7 @@ from .model import (
     ModelParams,
     PsiKind,
     SampleSet,
+    _check_budget,
     _loss_quantile,
     psi_value,
     var_threshold,
@@ -54,8 +55,7 @@ class BaselineParams:
     max_iters: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
+        _check_budget(self.max_iters, "max_iters")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,12 @@ def _finite_float(value, name: str) -> float:
     if not math.isfinite(out):
         raise InvalidInputError(f"{name} must be finite, got {out!r}")
     return out
+
+
+def _check_budget(value, name: str) -> None:
+    """Reject an iteration budget that is not an integer of at least 1 (``bool`` included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidInputError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 class PsiKind(enum.Enum):

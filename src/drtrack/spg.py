@@ -37,7 +37,9 @@ from .model import (
     DualPoint,
     ModelParams,
     SampleSet,
+    _check_budget,
     _check_sample_dim,
+    _finite_float,
     evaluate_phi_n,
     var_threshold,
 )
@@ -70,60 +72,44 @@ _MU_MIN = 1e-300
 # Consecutive stalled inner phases tolerated before giving up.
 _MAX_CONSECUTIVE_STALLS = 3
 
+# The method's fixed constants, after the paper's symbols: the Armijo
+# test's sigma and backtrack factor rho (at most 60 backtracks a step),
+# the initial smoothing level mu0 and its shrink factor omega, the phase
+# exit (at least n0 steps, then displacement per unit step under eta * mu)
+# and the stopping test (residual <= epsilon and mu <= mu_stop).
+_SIGMA = 1e-6
+_RHO = 0.5
+_MU0 = 1.0
+_ETA = 1e3
+_OMEGA = 0.5
+_EPSILON = 1e-4
+_N0 = 5
+_MU_STOP = 2e-6
+_MAX_BACKTRACKS = 60
+
 
 @dataclass(frozen=True)
 class SpgParams:
-    """Tuning constants of the smoothing projected gradient method.
+    """First trial step and iteration budgets of the SPG method.
 
-    ``alpha0``, ``sigma``, ``rho`` control the Armijo backtracking
-    line search.  ``alpha0`` is the first trial step of each phase's
-    first step; later steps start from the Barzilai-Borwein step,
-    clipped to ``[alpha0 * rho**max_backtracks, alpha0]``.  ``mu0`` and
-    ``omega`` set the initial smoothing level and its shrink factor;
-    ``eta`` and ``n0`` the inner-phase exit test
-    (leave after at least ``n0`` steps once the displacement per unit
-    stepsize drops under ``eta`` times the smoothing level).
-    ``epsilon`` bounds the projected-gradient residual and ``mu_stop``
-    the smoothing level in the joint stopping test.
-    ``max_inner_per_phase`` bounds one phase's descent steps; at tiny
-    smoothing levels ill-conditioned instances can otherwise keep a
-    phase busy indefinitely before its displacement exit fires.
+    ``alpha0`` is the first trial step of each phase's first step;
+    later steps start from the Barzilai-Borwein step, clipped to
+    ``[alpha0 * 0.5**60, alpha0]``.  ``max_outer_iters`` bounds the
+    smoothing levels tried; ``max_inner_per_phase`` bounds one phase's
+    descent steps, since at tiny smoothing levels ill-conditioned
+    instances can otherwise keep a phase busy indefinitely before its
+    displacement exit fires.
     """
 
     alpha0: float = 1.0
-    sigma: float = 1e-6
-    rho: float = 0.5
-    mu0: float = 1.0
-    eta: float = 1e3
-    omega: float = 0.5
-    epsilon: float = 1e-4
-    n0: int = 5
-    mu_stop: float = 2e-6
     max_outer_iters: int = 3000
-    max_backtracks: int = 60
     max_inner_per_phase: int = 10_000
 
     def __post_init__(self) -> None:
-        checks = [
-            (self.alpha0 > 0, "alpha0 must be positive"),
-            (0.0 < self.sigma < 1.0, "sigma must lie in (0, 1)"),
-            (0.0 < self.rho < 1.0, "rho must lie in (0, 1)"),
-            (self.mu0 > 0, "mu0 must be positive"),
-            (self.eta > 0, "eta must be positive"),
-            (0.0 < self.omega < 1.0, "omega must lie in (0, 1)"),
-            (self.epsilon > 0, "epsilon must be positive"),
-            (self.n0 >= 1, "n0 must be at least 1"),
-            (self.mu_stop > 0, "mu_stop must be positive"),
-            (self.max_outer_iters >= 1, "max_outer_iters must be at least 1"),
-            (self.max_backtracks >= 1, "max_backtracks must be at least 1"),
-            (
-                self.max_inner_per_phase >= 1,
-                "max_inner_per_phase must be at least 1",
-            ),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise InvalidInputError(message)
+        if _finite_float(self.alpha0, "alpha0") <= 0:
+            raise InvalidInputError("alpha0 must be positive")
+        _check_budget(self.max_outer_iters, "max_outer_iters")
+        _check_budget(self.max_inner_per_phase, "max_inner_per_phase")
 
 
 @dataclass(frozen=True)
@@ -190,7 +176,7 @@ def _not_finite(what: str, mu: float, k: int) -> NumericalError:
     )
 
 
-def _spectral_step(s: np.ndarray, r: np.ndarray, spg: SpgParams) -> float:
+def _spectral_step(s: np.ndarray, r: np.ndarray, alpha0: float) -> float:
     """Barzilai-Borwein first trial ``s's / s'r``, kept within the line search's range.
 
     ``s`` and ``r`` are the last step's changes of the point and of the
@@ -200,14 +186,14 @@ def _spectral_step(s: np.ndarray, r: np.ndarray, spg: SpgParams) -> float:
     """
     sr = float(s @ r)
     if sr <= 0.0:
-        return spg.alpha0
-    floor = spg.alpha0 * spg.rho**spg.max_backtracks
-    return min(max(float(s @ s) / sr, floor), spg.alpha0)
+        return alpha0
+    floor = alpha0 * _RHO**_MAX_BACKTRACKS
+    return min(max(float(s @ s) / sr, floor), alpha0)
 
 
 def _armijo_flat(
     y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, d: int, mu: float,
-    samples, amb, model, spg, k: int, projected: tuple | None,
+    samples, amb, model, k: int, projected: tuple | None,
 ) -> tuple[np.ndarray, _Smoothed | None, float, int]:
     """Flat Armijo step from first trial ``stepsize``: ``(point, smoothed, stepsize, backtracks)``.
 
@@ -215,21 +201,21 @@ def _armijo_flat(
     ``y - stepsize * g``, which the caller already holds; it is the first
     trial.  ``smoothed`` is the kernel result at the accepted point, or
     None after a stall, when the point is ``y`` and ``backtracks`` counts all
-    ``max_backtracks + 1`` failed trials.  A stall on a non-finite last
+    ``_MAX_BACKTRACKS + 1`` failed trials.  A stall on a non-finite last
     trial value raises :class:`NumericalError` naming outer iteration ``k``.
     """
-    for backtracks in range(spg.max_backtracks + 1):
+    for backtracks in range(_MAX_BACKTRACKS + 1):
         if backtracks == 0 and projected is not None:
             cand, factor = projected
         else:
             cand, factor = _project_flat(y - stepsize * g, d)
         at = _smooth(cand, factor, d, samples, mu, amb, model)
-        if at.value <= fy + spg.sigma * float(g @ (cand - y)):
+        if at.value <= fy + _SIGMA * float(g @ (cand - y)):
             return cand, at, stepsize, backtracks
-        stepsize *= spg.rho
+        stepsize *= _RHO
     if not math.isfinite(at.value):
         raise _not_finite("objective", mu, k)
-    return y, None, stepsize, spg.max_backtracks + 1
+    return y, None, stepsize, _MAX_BACKTRACKS + 1
 
 
 def spg_solve(
@@ -260,7 +246,7 @@ def spg_solve(
     start_time = time.perf_counter()
     samples_t = np.ascontiguousarray(samples.samples.T)
     y, factor = _project_flat(nu0.to_array(), d)
-    mu_k = spg.mu0
+    mu_k = _MU0
     grad_evals = 0
     inner_total = 0
     trials = 0
@@ -289,23 +275,23 @@ def spg_solve(
     for k in range(spg.max_outer_iters):
         g = gradient(y, at, k)
         unit, residual = _unit_step(y, g, d)
-        if residual <= spg.epsilon and mu_k <= spg.mu_stop:
+        if residual <= _EPSILON and mu_k <= _MU_STOP:
             status = STATUS_CONVERGED
             outer_done = k
             break
         stalled = False
-        if residual >= spg.epsilon:
+        if residual >= _EPSILON:
             fy = at.value
             phase_log = [fy]
             first = spg.alpha0  # the gradient changed with mu; no earlier step carries over
             for j in range(1, spg.max_inner_per_phase + 1):
                 if j > 1:
                     g_prev, g = g, gradient(y, at, k)
-                    first = _spectral_step(step, g - g_prev, spg)
+                    first = _spectral_step(step, g - g_prev, spg.alpha0)
                 # P(y - 1.0 * g) is the unit step that the residual projected
                 projected = unit if j == 1 and first == 1.0 else None
                 y_next, trial, stepsize, backtracks = _armijo_flat(
-                    y, fy, g, first, d, mu_k, samples, amb, model, spg, k, projected
+                    y, fy, g, first, d, mu_k, samples, amb, model, k, projected
                 )
                 if trial is None:
                     trials += backtracks
@@ -318,7 +304,7 @@ def spg_solve(
                 phase_log.append(fy)
                 inner_total += 1
                 _trace_point(fy)
-                if j >= spg.n0 and displacement / stepsize < spg.eta * mu_k:
+                if j >= _N0 and displacement / stepsize < _ETA * mu_k:
                     break
             if phases is not None:
                 phases.append(tuple(phase_log))
@@ -327,7 +313,7 @@ def spg_solve(
             status = STATUS_STALLED
             outer_done = k + 1
             break
-        mu_k = max(spg.omega * mu_k, _MU_MIN)
+        mu_k = max(_OMEGA * mu_k, _MU_MIN)
         at = _at_level(at.parts, mu_k, amb, model)
         outer_done = k + 1
 

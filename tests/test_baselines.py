@@ -22,8 +22,9 @@ from drtrack.spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 
 def test_baseline_params_validation():
-    with pytest.raises(InvalidInputError):
-        BaselineParams(max_iters=0)
+    for max_iters in (0, 2.5, True):
+        with pytest.raises(InvalidInputError):
+            BaselineParams(max_iters=max_iters)
 
 
 def test_scvar_objective_matches_reference():
@@ -375,6 +376,19 @@ def test_te_l2_perfect_replication_is_exact():
     x, value, _ = te_l2_solve(samples, 0.0)
     assert value <= 1e-12
     assert x[0] == pytest.approx(1.0, abs=1e-5)
+
+
+def test_te_l2_weights_are_invariant_under_return_scaling():
+    # returns scaled by s and tau1 by s**2 scale the objective by s**2
+    samples, _, _ = gaussian_instance(21, d=5, n=80, scale=0.01)
+    for tau1 in (0.0, 1e-3):
+        x, value, _ = te_l2_solve(samples, tau1)
+        for s in (1e-2, 1e2):
+            scaled = SampleSet(samples=s * samples.samples)
+            x_s, value_s, status = te_l2_solve(scaled, s * s * tau1)
+            assert status == STATUS_CONVERGED
+            assert np.abs(x_s - x).max() <= 1e-12
+            assert value_s == pytest.approx(s * s * value, rel=1e-12)
 
 
 def test_te_l2_validation():

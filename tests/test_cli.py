@@ -193,9 +193,13 @@ def test_config_precedence(market_csv, tmp_path, capsys):
 def test_config_errors(market_csv, tmp_path, capsys):
     args = ["backtest", "--data", market_csv, "--model", "te-l2",
             "--window", "20", "--hold", "10", "--config"]
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"model.tau9": 1.0}))
-    assert main(args + [str(unknown)]) == 2
+    # spg.epsilon names one of the solver's fixed constants, not a key
+    for key in ("model.tau9", "spg.epsilon"):
+        unknown = tmp_path / "unknown.json"
+        unknown.write_text(json.dumps({key: 1e-4}))
+        capsys.readouterr()
+        assert main(args + [str(unknown)]) == 2
+        assert key in capsys.readouterr().err
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(args + [str(broken)]) == 2
@@ -208,7 +212,7 @@ def test_config_errors(market_csv, tmp_path, capsys):
     panel = tmp_path / "panel.csv"
     assert main(["gen-data", "--assets", "3", "--days", "80", "--seed", "1",
                  "--out", str(panel)]) == 0
-    for key, value in (("spg.n0", "x"), ("model.tau1", None),
+    for key, value in (("spg.max_inner_per_phase", "x"), ("model.tau1", None),
                        ("spg.max_outer_iters", 2.7), ("spg.max_outer_iters", True)):
         mistyped = tmp_path / "mistyped.json"
         mistyped.write_text(json.dumps({key: value}))

@@ -24,19 +24,13 @@ from drtrack.spg import (
 def test_spg_params_validation():
     bad = [
         dict(alpha0=0.0),
-        dict(sigma=0.0),
-        dict(sigma=1.0),
-        dict(rho=1.0),
-        dict(mu0=-1.0),
-        dict(eta=0.0),
-        dict(omega=0.0),
-        dict(omega=1.0),
-        dict(epsilon=0.0),
-        dict(n0=0),
-        dict(mu_stop=0.0),
+        dict(alpha0=float("inf")),
+        dict(alpha0=float("nan")),
         dict(max_outer_iters=0),
-        dict(max_backtracks=0),
+        dict(max_outer_iters=2.7),
+        dict(max_outer_iters=True),
         dict(max_inner_per_phase=0),
+        dict(max_inner_per_phase=1.5),
     ]
     for kwargs in bad:
         with pytest.raises(InvalidInputError):
@@ -224,17 +218,17 @@ def test_unit_first_trial_reuses_the_residual_projection(monkeypatch):
         assert len(passes) == 1 + res.trials
 
 
-def test_spectral_first_trial_rule():
-    spg = SpgParams(alpha0=2.0, rho=0.5, max_backtracks=4)
+def test_spectral_first_trial_rule(monkeypatch):
+    monkeypatch.setattr(spg_module, "_MAX_BACKTRACKS", 4)
     s = np.array([1.0, 0.0, 2.0])
     # s's = 5, s'r = 4: the Barzilai-Borwein ratio lies inside the range
-    assert _spectral_step(s, np.array([0.0, 3.0, 2.0]), spg) == 1.25
+    assert _spectral_step(s, np.array([0.0, 3.0, 2.0]), 2.0) == 1.25
     # no positive curvature along s: fall back to alpha0
-    assert _spectral_step(s, np.array([-1.0, 0.0, 0.0]), spg) == 2.0
-    assert _spectral_step(s, np.array([0.0, 7.0, 0.0]), spg) == 2.0
-    # clipped above at alpha0 and below at alpha0 * rho**max_backtracks
-    assert _spectral_step(s, np.array([0.1, 0.0, 0.0]), spg) == 2.0
-    assert _spectral_step(s, np.array([100.0, 0.0, 0.0]), spg) == 0.125
+    assert _spectral_step(s, np.array([-1.0, 0.0, 0.0]), 2.0) == 2.0
+    assert _spectral_step(s, np.array([0.0, 7.0, 0.0]), 2.0) == 2.0
+    # clipped above at alpha0 and below at alpha0 * 0.5**4
+    assert _spectral_step(s, np.array([0.1, 0.0, 0.0]), 2.0) == 2.0
+    assert _spectral_step(s, np.array([100.0, 0.0, 0.0]), 2.0) == 0.125
 
 
 def test_spg_spectral_start_saves_line_search_trials():
