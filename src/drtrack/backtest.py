@@ -89,13 +89,17 @@ class BacktestConfig:
 
 @dataclass(frozen=True, eq=False)
 class WindowResult:
-    """Fitted weights and accounting for one rolling window."""
+    """Fitted weights and accounting for one rolling window.
+
+    ``iters`` is the fit's :attr:`ModelFit.iters`.
+    """
 
     t: int
     weights: np.ndarray
     solve_seconds: float
     portfolio_gross_return: float
     status: str
+    iters: int | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,15 +132,18 @@ class BacktestReport:
 
 
 class ModelFit(NamedTuple):
-    """Weights, status and objective of one fit, with the solver's own result.
+    """Weights, status, objective and iterations of one fit, with the
+    solver's own result.
 
-    ``result`` is the :class:`SolveResult` of ``drcvar-*``, the
-    :class:`ScvarResult` of ``scvar-*``, or None for ``te-l2``.
+    ``result`` is the :class:`SolveResult` of ``drcvar-*``, whose
+    ``inner_iters`` are the ``iters``, the :class:`ScvarResult` of
+    ``scvar-*``, or None for ``te-l2``, whose ``iters`` are None too.
     """
 
     x: np.ndarray
     status: str
     objective: float
+    iters: int | None
     result: SolveResult | ScvarResult | None
 
 
@@ -275,14 +282,18 @@ def solve_model(
     stop: int,
     config: BacktestConfig,
     record_trace: bool = False,
+    x0=None,
 ) -> ModelFit:
     """Fit the model ``config.model_id`` names on panel rows ``[start, stop)``.
 
     ``drcvar-*`` runs :func:`spg_solve` from :func:`default_start`,
-    ``scvar-*`` :func:`scvar_solve` and ``te-l2`` :func:`te_l2_solve`,
-    which records no trace.
+    ``scvar-*`` :func:`scvar_solve` from ``x0`` (uniform weights if
+    None) and ``te-l2`` :func:`te_l2_solve`, which records no trace.
+    Only ``scvar-*`` takes an ``x0``.
     """
     model = config.model
+    if x0 is not None and not config.model_id.startswith("scvar"):
+        raise InvalidInputError(f"{config.model_id} takes no x0")
     samples = build_sample_set(panel, start, stop)
     if config.model_id.startswith("drcvar"):
         moments = estimate_moments(panel, start, stop)
@@ -295,19 +306,23 @@ def solve_model(
         result = spg_solve(
             default_start(samples, model), samples, amb, model, config.spg, record_trace
         )
-        return ModelFit(result.nu.x, result.status, result.objective, result)
+        return ModelFit(
+            result.nu.x, result.status, result.objective, result.inner_iters, result
+        )
     if config.model_id.startswith("scvar"):
-        result = scvar_solve(samples, model, config.baseline, record_trace)
-        return ModelFit(result.x, result.status, result.objective, result)
+        result = scvar_solve(samples, model, config.baseline, record_trace, x0=x0)
+        return ModelFit(result.x, result.status, result.objective, result.iters, result)
     x, objective, status = te_l2_solve(samples, model.tau1)
-    return ModelFit(x, status, objective, None)
+    return ModelFit(x, status, objective, None, None)
 
 
 def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
     """Roll the fitting window across the panel and score the results.
 
     Fitting touches only the current window's rows; every metric over
-    the hold periods uses rows strictly after the fitted window.
+    the hold periods uses rows strictly after the fitted window.  Each
+    ``scvar-*`` window after the first starts from the previous window's
+    weights; the other models, and the first window, start cold.
     """
     t_bar = _validated_t_bar(panel, config)
     if t_bar < 1:
@@ -315,13 +330,15 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
             f"no complete window+hold fits in {panel.n_days} days"
         )
     index_gross, asset_gross = hold_gross_returns(panel, config)
+    warm = config.model_id.startswith("scvar")
     windows: list[WindowResult] = []
     for t in range(1, t_bar + 1):
         start = (t - 1) * config.hold
         stop = start + config.window
+        x0 = windows[-1].weights if warm and windows else None
         begin = time.perf_counter()
         try:
-            x, status, _, _ = solve_model(panel, start, stop, config)
+            x, status, _, iters, _ = solve_model(panel, start, stop, config, x0=x0)
         except DrTrackError as exc:
             raise type(exc)(f"window {t}: {exc}") from exc
         seconds = time.perf_counter() - begin
@@ -332,6 +349,7 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
                 solve_seconds=seconds,
                 portfolio_gross_return=float(asset_gross[t - 1] @ x),
                 status=status,
+                iters=iters,
             )
         )
     mat = np.vstack([w.weights for w in windows])
@@ -427,6 +445,7 @@ def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
                 "solve_seconds": w.solve_seconds,
                 "portfolio_gross_return": w.portfolio_gross_return,
                 "status": w.status,
+                "iters": w.iters,
             }
             for w in report.windows
         ],

@@ -159,28 +159,43 @@ def scvar_solve(
     model: ModelParams,
     params: BaselineParams = BaselineParams(),
     record_trace: bool = False,
+    x0=None,
 ) -> ScvarResult:
     """Certified minimisation of the sample-average CVaR objective.
 
-    FISTA from uniform weights, with backtracking on the Lipschitz
-    estimate and a function-value restart, minimises a surrogate
-    (Nesterov 2005) with plus-parts and ``|c|`` smoothed at a level
-    ``mu`` in return units and the threshold minimised exactly; with no
-    CVaR weight the threshold enters neither, and is not solved for.
-    ``mu`` halves once the surrogate's Frank-Wolfe gap falls under its
-    smoothing margin.  Upper bound: the exact objective, threshold at the
+    FISTA from ``x0`` projected onto the simplex (uniform weights if
+    None), with backtracking on the Lipschitz estimate and a
+    function-value restart, minimises a surrogate (Nesterov 2005) with
+    plus-parts and ``|c|`` smoothed at a level ``mu`` in return units
+    and the threshold minimised exactly; with no CVaR weight the
+    threshold enters neither, and is not solved for.  ``mu`` halves
+    once the surrogate's Frank-Wolfe gap falls under its smoothing
+    margin.  Upper bound: the exact objective, threshold at the
     loss quantile (Rockafellar & Uryasev 2000), taken from the losses the
     surrogate formed, so each evaluated point costs one product with the
     samples.  Lower bound: the Fenchel dual bound (:func:`_fenchel_bound`)
     at the surrogate's own multipliers, whose ``g`` is read off the
     surrogate's gradient.  Stops ``converged`` once the relative gap is
     at most :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
-    ``params.max_iters`` iterations.
+    ``params.max_iters`` iterations.  The first threshold, upper bound
+    and ``mu`` come from the start's losses.  When the next extrapolated
+    point is the accepted one at the same ``mu`` (after a restart, or a
+    first momentum step, whose coefficient is 0), its surrogate is
+    reused, so each point is evaluated once.
     """
     start_time = time.perf_counter()
     xi_b, xi_a, n = samples.xi_b, samples.xi_a, samples.n_samples
     tau1, tau2, coef, beta = model.tau1, model.tau2, model.cvar_coef, model.beta
-    x = y = best_x = np.full(samples.n_assets, 1.0 / samples.n_assets)
+    if x0 is None:
+        x = np.full(samples.n_assets, 1.0 / samples.n_assets)
+    else:
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (samples.n_assets,):
+            raise InvalidInputError(f"x0 must have shape ({samples.n_assets},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise InvalidInputError("x0 must be finite")
+        x = _simplex(x)
+    y = best_x = x
     alpha = best_alpha = var_threshold(x, samples, beta)
     upper, lower = scvar_objective(x, alpha, samples, model), -math.inf
     # mu starts at the spread of the start's losses (1 if they are all equal);
@@ -214,8 +229,14 @@ def scvar_solve(
 
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     fx, t = math.inf, 1.0
+    # The surrogate's value and gradient at y when y is the last accepted
+    # point at the current mu (alpha is then already its threshold).
+    at_y = None
     for k in range(params.max_iters):
-        fy, gy, _, alpha, _, _ = surrogate(y, alpha)
+        if at_y is None:
+            fy, gy, _, alpha, _, _ = surrogate(y, alpha)
+        else:
+            fy, gy = at_y
         lipschitz *= _LIPSCHITZ_DECAY
         while True:
             x_new = project_simplex(y - gy / lipschitz)
@@ -239,15 +260,20 @@ def scvar_solve(
             break
         # The surrogate's Frank-Wolfe gap over the simplex and the alphas in reach.
         fw_gap = float(g_new @ x_new - g_new.min()) + abs(galpha) * reach
+        at_y = f_new, g_new
         if fw_gap <= margin_rate * mu and (0.5 * mu) ** 2 > 0.0:
             # The margin dominates: sharpen while mu**2 stays positive, and
             # restart with no surrogate value at the new level yet.
-            mu, y, t, f_new = 0.5 * mu, x_new, 1.0, math.inf
+            mu, y, t, f_new, at_y = 0.5 * mu, x_new, 1.0, math.inf, None
         elif f_new > fx:
             y, t = x_new, 1.0
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            momentum = (t - 1.0) / t_next
+            if momentum:
+                y, at_y = x_new + momentum * (x_new - x), None
+            else:
+                y = x_new
             t = t_next
         x, fx, alpha = x_new, f_new, alpha_new
     return ScvarResult(

@@ -18,9 +18,10 @@ from drtrack.backtest import (
     hold_gross_returns,
     report_to_dict,
     run_backtest,
+    solve_model,
     transition_weights,
 )
-from drtrack.baselines import BaselineParams
+from drtrack.baselines import GAP_TOLERANCE, BaselineParams
 from drtrack.data import gen_synthetic
 from drtrack.errors import InvalidInputError
 from drtrack.model import ModelParams, PsiKind
@@ -246,6 +247,12 @@ def test_run_backtest_covers_solver_paths():
         assert w.weights.min() >= 0.0
         assert w.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert w.status in ("converged", "iteration-cap")
+    # drcvar windows start cold and count their inner iterations
+    last = solve_model(panel, 15, 35, drcvar)
+    assert np.array_equal(report.windows[1].weights, last.x)
+    assert report.windows[1].iters == last.iters == last.result.inner_iters > 0
+    with pytest.raises(InvalidInputError, match="x0"):
+        solve_model(panel, 15, 35, drcvar, x0=report.windows[0].weights)
     scvar = BacktestConfig(
         model_id="scvar-l1",
         model=MODEL,
@@ -255,6 +262,40 @@ def test_run_backtest_covers_solver_paths():
     )
     report = run_backtest(panel, scvar)
     assert report.t_bar == 2 and report.model_id == "scvar-l1"
+    assert all(w.iters > 0 for w in report.windows)
+
+
+@pytest.mark.parametrize("model_id", ["scvar-l2", "scvar-l1"])
+def test_warm_scvar_windows_agree_with_cold_fits_within_the_certificate(model_id):
+    panel = gen_synthetic(8, 313, 3)
+    for tau1 in (0.0, 2e-4):
+        for tau2 in (0.0, 2e-4):
+            config = BacktestConfig(
+                model_id=model_id,
+                model=ModelParams(tau1=tau1, tau2=tau2),
+                window=250,
+                hold=21,
+            )
+            report = run_backtest(panel, config)
+            assert report.t_bar == 3
+            first = report.windows[0]
+            cold = solve_model(panel, 0, 250, config)
+            assert np.array_equal(first.weights, cold.x)
+            assert (first.status, first.iters) == (cold.status, cold.result.iters)
+            for prev, w in zip(report.windows, report.windows[1:]):
+                start = (w.t - 1) * config.hold
+                stop = start + config.window
+                warm = solve_model(panel, start, stop, config, x0=prev.weights)
+                cold = solve_model(panel, start, stop, config)
+                assert np.array_equal(w.weights, warm.x) and w.iters == warm.iters
+                assert w.status == warm.status == "converged"
+                f = max(abs(warm.objective), abs(cold.objective))
+                assert abs(warm.objective - cold.objective) <= GAP_TOLERANCE * f
+                if tau1 > 0.0:
+                    # f(x) - f* >= tau1 ||x - x*||^2, and each fit is within
+                    # GAP_TOLERANCE * f of the optimum
+                    distance = float(np.linalg.norm(warm.x - cold.x))
+                    assert distance <= 2.0 * np.sqrt(GAP_TOLERANCE * f / tau1)
 
 
 def test_grid_search_tie_break_and_custom_grids():
@@ -296,8 +337,9 @@ def test_report_to_dict_schema_and_rounding():
     assert len(doc["per_window"]) == 4
     for row, window in zip(doc["per_window"], report.windows):
         assert set(row) == {
-            "t", "weights", "solve_seconds", "portfolio_gross_return", "status",
+            "t", "weights", "solve_seconds", "portfolio_gross_return", "status", "iters",
         }
+        assert row["iters"] is None
         assert row["weights"] == [float(f"{v:.12g}") for v in window.weights]
     parsed = json.loads(json.dumps(doc))
     assert parsed["teo"] == doc["teo"]

@@ -15,9 +15,11 @@ from drtrack.baselines import (
     scvar_solve,
     te_l2_solve,
 )
+from drtrack.data import build_sample_set, gen_synthetic
 from drtrack.errors import InvalidInputError
 from drtrack.model import ModelParams, PsiKind, SampleSet, var_threshold
-from drtrack.smoothing import _plus_and_tail
+from drtrack.projections import project_simplex
+from drtrack.smoothing import _plus_and_tail, smooth_psi
 from drtrack.spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 
@@ -111,6 +113,49 @@ def test_scvar_checked_evaluations_do_not_grow_with_iterations(monkeypatch):
     (short, short_iters), (long, long_iters) = counts
     assert short_iters == 2 < long_iters
     assert short == long
+
+
+def test_scvar_evaluates_each_accepted_point_once(monkeypatch):
+    # every iteration evaluates at least one trial point, and smooth_psi runs
+    # once per evaluation; after a restart, or a momentum step with t = 1,
+    # the next extrapolated point is the accepted one, whose surrogate is
+    # reused, so a fit makes fewer than two evaluations per iteration
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return smooth_psi(*args)
+
+    monkeypatch.setattr(baselines, "smooth_psi", counted)
+    samples = build_sample_set(gen_synthetic(8, 313, 0), 0, 250)
+    res = scvar_solve(samples, ModelParams(tau1=2e-4, tau2=2e-4))
+    assert res.status == STATUS_CONVERGED and res.iters > 2
+    assert len(calls) < 2 * res.iters
+
+
+def _same_result(a, b) -> bool:
+    return np.array_equal(a.x, b.x) and (
+        a.alpha, a.objective, a.lower_bound, a.gap, a.iters, a.status
+    ) == (b.alpha, b.objective, b.lower_bound, b.gap, b.iters, b.status)
+
+
+def test_scvar_start_is_checked_and_projected():
+    samples, _, model = gaussian_instance(5, d=4, n=40, scale=0.01,
+                                          tau1=1e-4, tau2=2e-4, beta=0.9)
+    for bad in (np.full(3, 1.0 / 3.0), np.full(5, 0.2), np.ones((2, 2)),
+                [0.5, 0.5, np.nan, 0.0], [np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(InvalidInputError, match="x0"):
+            scvar_solve(samples, model, x0=bad)
+    off = np.array([2.0, -1.0, 0.5, 0.3])
+    projected = project_simplex(off)
+    assert not np.array_equal(off, projected)
+    res = scvar_solve(samples, model, x0=off)
+    assert res.status == STATUS_CONVERGED
+    assert _same_result(res, scvar_solve(samples, model, x0=projected))
+    # no start is the uniform start
+    assert _same_result(
+        scvar_solve(samples, model), scvar_solve(samples, model, x0=np.full(4, 0.25))
+    )
 
 
 def _logistic(z):
