@@ -10,6 +10,7 @@ on the hold periods with compounded gross returns.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -91,7 +92,10 @@ class BacktestConfig:
 class WindowResult:
     """Fitted weights and accounting for one rolling window.
 
-    ``iters`` is the fit's :attr:`ModelFit.iters`.
+    ``iters`` is the fit's :attr:`ModelFit.iters`.  ``outer_iters``,
+    ``grad_evals``, ``residual`` and ``mu_final`` are those of the
+    :class:`SolveResult` of a ``drcvar-*`` fit, and None for the other
+    models.
     """
 
     t: int
@@ -100,6 +104,10 @@ class WindowResult:
     portfolio_gross_return: float
     status: str
     iters: int | None
+    outer_iters: int | None = None
+    grad_evals: int | None = None
+    residual: float | None = None
+    mu_final: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +117,9 @@ class BacktestReport:
     ``sigma2``, ``sharpe`` and ``turnover`` are None when undefined
     (fewer than two windows, or zero return variance for the Sharpe
     ratio).  ``cpu_seconds`` is the sum of the windows' fit times, each
-    wall time from ``time.perf_counter``, not processor time.
+    wall time from ``time.perf_counter``, not processor time.  Windows
+    fitted in worker processes time themselves there, so
+    ``cpu_seconds`` can exceed the run's wall time.
     """
 
     model_id: str
@@ -316,13 +326,108 @@ def solve_model(
     return ModelFit(x, status, objective, None, None)
 
 
+# Panel and config of the backtest whose windows this worker process
+# fits; set by the pool initializer, so inherited by fork, not pickled.
+_worker_job: tuple[ReturnPanel, BacktestConfig] | None = None
+
+
+def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> tuple:
+    """Fit window ``t`` (1-based): ``(x, status, iters, seconds, stats)``.
+
+    ``stats`` holds the :class:`SolveResult` counters that
+    :class:`WindowResult` reports, or four Nones for the other models.
+    """
+    start = (t - 1) * config.hold
+    stop = start + config.window
+    begin = time.perf_counter()
+    try:
+        fit = solve_model(panel, start, stop, config, x0=x0)
+    except DrTrackError as exc:
+        raise type(exc)(f"window {t}: {exc}") from exc
+    seconds = time.perf_counter() - begin
+    r = fit.result
+    stats = (
+        (r.outer_iters, r.grad_evals, r.residual, r.mu_final)
+        if isinstance(r, SolveResult)
+        else (None,) * 4
+    )
+    return fit.x, fit.status, fit.iters, seconds, stats
+
+
+def _init_worker(panel: ReturnPanel, config: BacktestConfig) -> None:
+    global _worker_job
+    _worker_job = (panel, config)
+
+
+def _fit_window_in_worker(t: int) -> tuple:
+    return _fit_window(t, *_worker_job)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool_workers(config: BacktestConfig, t_bar: int) -> int:
+    """Worker processes for the windows of one backtest; 0 fits them here.
+
+    Only cold ``drcvar-*`` windows go to workers: ``scvar-*`` windows
+    start from their predecessor, and a ``te-l2`` fit takes less time
+    than starting a pool.  Workers are forked, and a daemonic process
+    may not have children.
+    """
+    if not config.model_id.startswith("drcvar"):
+        return 0
+    workers = min(_usable_cpus(), t_bar)
+    if workers < 2:
+        return 0
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    if multiprocessing.current_process().daemon:
+        return 0
+    return workers
+
+
+def _fit_windows(panel: ReturnPanel, config: BacktestConfig, t_bar: int) -> list[tuple]:
+    """Every window's :func:`_fit_window` result, in window order."""
+    workers = _pool_workers(config, t_bar)
+    if workers:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(panel, config),
+        )
+        try:
+            # map yields in window order, so the lowest failing window raises
+            return list(pool.map(_fit_window_in_worker, range(1, t_bar + 1)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    warm = config.model_id.startswith("scvar")
+    fits: list[tuple] = []
+    for t in range(1, t_bar + 1):
+        x0 = fits[-1][0] if warm and fits else None
+        fits.append(_fit_window(t, panel, config, x0))
+    return fits
+
+
 def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
     """Roll the fitting window across the panel and score the results.
 
     Fitting touches only the current window's rows; every metric over
     the hold periods uses rows strictly after the fitted window.  Each
     ``scvar-*`` window after the first starts from the previous window's
-    weights; the other models, and the first window, start cold.
+    weights; the other models, and the first window, start cold.  The
+    cold ``drcvar-*`` windows are fitted in forked worker processes, one
+    per usable CPU up to ``t_bar``, when there are at least two.
     """
     t_bar = _validated_t_bar(panel, config)
     if t_bar < 1:
@@ -330,28 +435,12 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
             f"no complete window+hold fits in {panel.n_days} days"
         )
     index_gross, asset_gross = hold_gross_returns(panel, config)
-    warm = config.model_id.startswith("scvar")
-    windows: list[WindowResult] = []
-    for t in range(1, t_bar + 1):
-        start = (t - 1) * config.hold
-        stop = start + config.window
-        x0 = windows[-1].weights if warm and windows else None
-        begin = time.perf_counter()
-        try:
-            x, status, _, iters, _ = solve_model(panel, start, stop, config, x0=x0)
-        except DrTrackError as exc:
-            raise type(exc)(f"window {t}: {exc}") from exc
-        seconds = time.perf_counter() - begin
-        windows.append(
-            WindowResult(
-                t=t,
-                weights=x,
-                solve_seconds=seconds,
-                portfolio_gross_return=float(asset_gross[t - 1] @ x),
-                status=status,
-                iters=iters,
-            )
+    windows = [
+        WindowResult(t, x, seconds, float(asset_gross[t - 1] @ x), status, iters, *stats)
+        for t, (x, status, iters, seconds, stats) in enumerate(
+            _fit_windows(panel, config, t_bar), start=1
         )
+    ]
     mat = np.vstack([w.weights for w in windows])
     tei = compute_tei(mat, panel, config)
     teo = compute_teo(mat, index_gross, asset_gross)
@@ -446,6 +535,10 @@ def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
                 "portfolio_gross_return": w.portfolio_gross_return,
                 "status": w.status,
                 "iters": w.iters,
+                "outer_iters": w.outer_iters,
+                "grad_evals": w.grad_evals,
+                "residual": w.residual,
+                "mu_final": w.mu_final,
             }
             for w in report.windows
         ],

@@ -1,11 +1,14 @@
 """Rolling-window backtest, evaluation metrics, and the penalty grid."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 import oracles
+from drtrack import backtest
 from drtrack.backtest import (
     MODEL_IDS,
     TAU_GRID,
@@ -23,7 +26,7 @@ from drtrack.backtest import (
 )
 from drtrack.baselines import GAP_TOLERANCE, BaselineParams
 from drtrack.data import gen_synthetic
-from drtrack.errors import InvalidInputError
+from drtrack.errors import InvalidInputError, NumericalError
 from drtrack.model import ModelParams, PsiKind
 from drtrack.spg import SpgParams
 
@@ -247,10 +250,16 @@ def test_run_backtest_covers_solver_paths():
         assert w.weights.min() >= 0.0
         assert w.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert w.status in ("converged", "iteration-cap")
-    # drcvar windows start cold and count their inner iterations
+    # drcvar windows start cold, count their inner iterations and report
+    # the solver's counters
     last = solve_model(panel, 15, 35, drcvar)
-    assert np.array_equal(report.windows[1].weights, last.x)
-    assert report.windows[1].iters == last.iters == last.result.inner_iters > 0
+    w = report.windows[1]
+    assert np.array_equal(w.weights, last.x)
+    assert w.iters == last.iters == last.result.inner_iters > 0
+    r = last.result
+    assert (w.outer_iters, w.grad_evals, w.residual, w.mu_final) == (
+        r.outer_iters, r.grad_evals, r.residual, r.mu_final
+    )
     with pytest.raises(InvalidInputError, match="x0"):
         solve_model(panel, 15, 35, drcvar, x0=report.windows[0].weights)
     scvar = BacktestConfig(
@@ -263,6 +272,87 @@ def test_run_backtest_covers_solver_paths():
     report = run_backtest(panel, scvar)
     assert report.t_bar == 2 and report.model_id == "scvar-l1"
     assert all(w.iters > 0 for w in report.windows)
+    assert all(
+        (w.outer_iters, w.grad_evals, w.residual, w.mu_final) == (None,) * 4
+        for w in report.windows
+    )
+
+
+def capped_drcvar(model_id):
+    return BacktestConfig(
+        model_id=model_id,
+        model=MODEL,
+        window=40,
+        hold=10,
+        spg=SpgParams(max_outer_iters=5, max_inner_per_phase=5),
+    )
+
+
+def assert_same_fits(a, b):
+    """Bitwise-equal weights, solver outcomes and metrics; timings aside."""
+    assert (a.t_bar, a.tei, a.teo, a.sigma2, a.sharpe, a.turnover) == (
+        b.t_bar, b.tei, b.teo, b.sigma2, b.sharpe, b.turnover
+    )
+    for wa, wb in zip(a.windows, b.windows, strict=True):
+        assert wa.weights.tobytes() == wb.weights.tobytes()
+        assert (wa.t, wa.status, wa.iters, wa.portfolio_gross_return) == (
+            wb.t, wb.status, wb.iters, wb.portfolio_gross_return
+        )
+        assert (wa.outer_iters, wa.grad_evals, wa.residual, wa.mu_final) == (
+            wb.outer_iters, wb.grad_evals, wb.residual, wb.mu_final
+        )
+
+
+@pytest.mark.parametrize("model_id", ["drcvar-l2", "drcvar-l1"])
+def test_windows_fitted_in_workers_equal_the_sequential_fits(model_id, monkeypatch):
+    panel = gen_synthetic(4, 120, 8)
+    config = capped_drcvar(model_id)
+    monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
+    assert backtest._pool_workers(config, 8) == 0
+    sequential = run_backtest(panel, config)
+    # two workers even on a one-CPU machine, wherever fork exists
+    monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert backtest._pool_workers(config, 8) == 2
+    pooled = run_backtest(panel, config)
+    assert sequential.t_bar == 8
+    assert_same_fits(pooled, sequential)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_a_worker_error_names_the_lowest_failing_window(monkeypatch):
+    panel = gen_synthetic(4, 120, 8)
+    config = capped_drcvar("drcvar-l2")
+    # windows 3 and 6 start at rows 20 and 50
+    failing_rows = [panel.joint_matrix()[row] for row in (20, 50)]
+    solve = backtest.spg_solve
+
+    def spg_solve(nu0, samples, *args):
+        if any(np.array_equal(samples.samples[0], row) for row in failing_rows):
+            raise NumericalError(f"injected in process {os.getpid()}")
+        return solve(nu0, samples, *args)
+
+    monkeypatch.setattr(backtest, "spg_solve", spg_solve)
+    monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+    pattern = r"^window 3: injected in process \d+$"
+    with pytest.raises(NumericalError, match=pattern) as info:
+        run_backtest(panel, config)
+    assert int(info.value.args[0].rsplit(" ", 1)[1]) != os.getpid()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_a_daemonic_process_fits_its_windows_in_sequence(monkeypatch):
+    panel = gen_synthetic(4, 120, 8)
+    config = capped_drcvar("drcvar-l2")
+    monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+    # a daemonic pool worker may not start processes of its own
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        report = pool.apply(run_backtest, (panel, config))
+    assert_same_fits(report, run_backtest(panel, config))
 
 
 @pytest.mark.parametrize("model_id", ["scvar-l2", "scvar-l1"])
@@ -338,8 +428,11 @@ def test_report_to_dict_schema_and_rounding():
     for row, window in zip(doc["per_window"], report.windows):
         assert set(row) == {
             "t", "weights", "solve_seconds", "portfolio_gross_return", "status", "iters",
+            "outer_iters", "grad_evals", "residual", "mu_final",
         }
         assert row["iters"] is None
+        assert row["outer_iters"] is row["grad_evals"] is None
+        assert row["residual"] is row["mu_final"] is None
         assert row["weights"] == [float(f"{v:.12g}") for v in window.weights]
     parsed = json.loads(json.dumps(doc))
     assert parsed["teo"] == doc["teo"]

@@ -3,8 +3,11 @@
 import importlib
 import json
 import pkgutil
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,24 @@ def test_every_exported_name_resolves():
             if not hasattr(module, name)
         ]
     assert missing == []
+
+
+def test_import_loads_no_process_pool_modules():
+    # run_backtest imports them only when it starts worker processes
+    code = (
+        "import sys, drtrack; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    src = str(Path(drtrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _readme_config_table() -> list[tuple[str, str]]:
