@@ -93,9 +93,9 @@ class WindowResult:
     """Fitted weights and accounting for one rolling window.
 
     ``iters`` is the fit's :attr:`ModelFit.iters`.  ``outer_iters``,
-    ``grad_evals``, ``residual`` and ``mu_final`` are those of the
-    :class:`SolveResult` of a ``drcvar-*`` fit, and None for the other
-    models.
+    ``grad_evals``, ``trials``, ``residual`` and ``mu_final`` are those
+    of the :class:`SolveResult` of a ``drcvar-*`` fit, and None for the
+    other models.
     """
 
     t: int
@@ -106,6 +106,7 @@ class WindowResult:
     iters: int | None
     outer_iters: int | None = None
     grad_evals: int | None = None
+    trials: int | None = None
     residual: float | None = None
     mu_final: float | None = None
 
@@ -335,7 +336,7 @@ def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> 
     """Fit window ``t`` (1-based): ``(x, status, iters, seconds, stats)``.
 
     ``stats`` holds the :class:`SolveResult` counters that
-    :class:`WindowResult` reports, or four Nones for the other models.
+    :class:`WindowResult` reports, or five Nones for the other models.
     """
     start = (t - 1) * config.hold
     stop = start + config.window
@@ -347,9 +348,9 @@ def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> 
     seconds = time.perf_counter() - begin
     r = fit.result
     stats = (
-        (r.outer_iters, r.grad_evals, r.residual, r.mu_final)
+        (r.outer_iters, r.grad_evals, r.trials, r.residual, r.mu_final)
         if isinstance(r, SolveResult)
-        else (None,) * 4
+        else (None,) * 5
     )
     return fit.x, fit.status, fit.iters, seconds, stats
 
@@ -537,6 +538,7 @@ def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
                 "iters": w.iters,
                 "outer_iters": w.outer_iters,
                 "grad_evals": w.grad_evals,
+                "trials": w.trials,
                 "residual": w.residual,
                 "mu_final": w.mu_final,
             }

@@ -19,10 +19,12 @@ and deterministic.
 The kernel runs in two stages.  The first, free of ``mu``, computes
 per sample the quadratic form ``xi' lam xi + q' xi``, the tracking
 deviation and the plus-part argument, plus the sample-free terms.  The
-quadratic forms come from one product of the samples with
-``[F | q | (x; 0)]``, where ``F`` is an eigen-factor of the symmetric
-part of ``lam`` (the PSD projection's own factor inside the solver),
-so a trial costs one GEMM of width ``rank(lam) + 2``.  The second stage
+quadratic forms come from one product of ``[F | q | (x; 0)]'`` with
+``samples_t``, a contiguous ``(d + 1) x N`` copy of the samples that
+the solver builds once, where ``F`` is an eigen-factor of the
+symmetric part of ``lam`` (the PSD projection's own factor inside the
+solver), so a trial costs one GEMM of height ``rank(lam) + 2`` whose
+rows, and the index returns, are contiguous.  The second stage
 applies the surrogates and the log-sum-exp at level ``mu`` in O(N), so
 a new smoothing level re-runs only that stage.  The gradient forms the
 weighted Gram ``sum_i w_i xi_i xi_i'`` as a symmetric rank-k update.
@@ -143,33 +145,35 @@ class _Smoothed(NamedTuple):
     norm_val: float  # smoothed mean-ellipsoid term
 
 
-def _parts(flat: np.ndarray, factor, d: int, samples: SampleSet, amb, model) -> _Parts:
+def _parts(flat: np.ndarray, factor, d: int, samples_t: np.ndarray, amb, model) -> _Parts:
     """The mu-free stage at a flat dual vector, unchecked.
 
     ``factor = (F, p)``, from :func:`drtrack.projections._eigen_factor`,
     writes ``sym(lam)`` as ``P P' - Q Q'`` with
-    ``P = F[:, :p]`` and ``Q = F[:, p:]``.  One product of the samples
-    with ``[F | q | (x; 0)]`` yields the quadratic forms as row sums of
-    squares, ``xi' q`` and the portfolio returns ``xi_b' x``.
+    ``P = F[:, :p]`` and ``Q = F[:, p:]``.  One product of
+    ``[F | q | (x; 0)]'`` with ``samples_t``, the contiguous
+    ``(d + 1) x N`` copy of the samples, yields the quadratic forms as
+    column sums of squares, ``q' xi`` and the portfolio returns
+    ``x' xi_b``; the index returns are the last row of ``samples_t``.
     """
     x, alpha, q, lam = _split_flat(flat, d)
     u = q + 2.0 * lam @ amb.mu_hat
     su = amb.sigma_hat @ u
     cols, npos = factor
     r = cols.shape[1]
-    right = np.zeros((d + 1, r + 2))
-    right[:, :r] = cols
-    right[:, r] = q
-    right[:d, r + 1] = x
-    prod = samples.samples @ right
-    pos = prod[:, :npos]
-    quad = np.einsum("ij,ij->i", pos, pos)
+    left = np.zeros((r + 2, d + 1))
+    left[:r] = cols.T
+    left[r] = q
+    left[r + 1, :d] = x
+    prod = left @ samples_t
+    pos = prod[:npos]
+    quad = np.einsum("ij,ij->j", pos, pos)
     if npos < r:
-        neg = prod[:, npos:r]
-        quad -= np.einsum("ij,ij->i", neg, neg)
-    quad += prod[:, r]
-    losses = -prod[:, r + 1]
-    c = samples.xi_a + losses
+        neg = prod[npos:r]
+        quad -= np.einsum("ij,ij->j", neg, neg)
+    quad += prod[r]
+    losses = -prod[r + 1]
+    c = samples_t[d] + losses
     t = losses - alpha
     return _Parts(_h1(x, alpha, q, lam, amb, model), float(u @ su), su, quad, c, t)
 
@@ -197,10 +201,13 @@ def _at_level(parts: _Parts, mu: float, amb, model) -> _Smoothed:
 
 
 def _smooth(
-    flat: np.ndarray, factor, d: int, samples: SampleSet, mu: float, amb, model
+    flat: np.ndarray, factor, d: int, samples_t: np.ndarray, mu: float, amb, model
 ) -> _Smoothed:
-    """Smoothed components and objective at a flat dual vector, unchecked."""
-    return _at_level(_parts(flat, factor, d, samples, amb, model), mu, amb, model)
+    """Smoothed components and objective at a flat dual vector, unchecked.
+
+    ``samples_t`` is the contiguous ``(d + 1) x N`` copy of the samples.
+    """
+    return _at_level(_parts(flat, factor, d, samples_t, amb, model), mu, amb, model)
 
 
 def _gradient(
@@ -254,13 +261,14 @@ def _gradient(
 
 
 def _checked(nu: DualPoint, samples: SampleSet, mu, amb: AmbiguityParams, model: ModelParams):
-    """Validate a wrapper's inputs; return ``nu`` flattened, ``mu`` and the kernel result."""
+    """Validate a wrapper's inputs; return ``(flat nu, mu, samples_t, kernel result)``."""
     mu = _mu_value(mu)
     _check_sample_dim(samples.samples.shape[1], nu.dim, "samples")
     _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
     flat = nu.to_array()
     factor = _eigen_factor(0.5 * (nu.lam + nu.lam.T))
-    return flat, mu, _smooth(flat, factor, nu.dim, samples, mu, amb, model)
+    samples_t = np.ascontiguousarray(samples.samples.T)
+    return flat, mu, samples_t, _smooth(flat, factor, nu.dim, samples_t, mu, amb, model)
 
 
 def smooth_h_values(
@@ -271,7 +279,7 @@ def smooth_h_values(
     model: ModelParams,
 ) -> np.ndarray:
     """Smoothed max-components for every sample row, shape ``(N,)``."""
-    return _checked(nu, samples, mu, amb, model)[2].vals
+    return _checked(nu, samples, mu, amb, model)[3].vals
 
 
 def smooth_phi(
@@ -282,7 +290,7 @@ def smooth_phi(
     model: ModelParams,
 ) -> float:
     """Log-sum-exp aggregation ``mu * log(sum_i exp(h_i / mu))`` of the components."""
-    return _checked(nu, samples, mu, amb, model)[2].value
+    return _checked(nu, samples, mu, amb, model)[3].value
 
 
 def grad_smooth_phi(
@@ -293,7 +301,6 @@ def grad_smooth_phi(
     model: ModelParams,
 ) -> DualPoint:
     """Gradient of :func:`smooth_phi`, packaged blockwise as a DualPoint."""
-    flat, mu, at = _checked(nu, samples, mu, amb, model)
-    samples_t = np.ascontiguousarray(samples.samples.T)
+    flat, mu, samples_t, at = _checked(nu, samples, mu, amb, model)
     grad = _gradient(flat, nu.dim, at, samples, samples_t, mu, amb, model)
     return DualPoint.from_array(grad, nu.dim)

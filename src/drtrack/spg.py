@@ -9,11 +9,19 @@ once the projected-gradient residual and the smoothing level are both
 small, or when iteration budgets are exhausted.  The first step of a
 phase tries ``alpha0`` first; every later step first tries the
 Barzilai-Borwein (spectral) step of the previous one, clipped to the
-line search's range, and backtracks monotonically from there.
+line search's range.  From that first step ``t0`` the line search looks
+for an exponent ``j`` on the grid ``t0 * rho**j``, ``j = 0..60``: it
+brackets ``j`` between a failing and a passing trial, rather than
+halving one trial at a time, guessing after each failure from a
+quadratic model (and after the first failure also from the previous
+accepted step), and accepts a step that passes the Armijo test while
+the next larger grid step fails.
 
 :func:`spg_solve` validates and projects the start point once on
 entry and builds one :class:`DualPoint` on exit.  In between it works
-on one flat vector ``(x | alpha | q | vec(lam))``; the gradient at an
+on one flat vector ``(x | alpha | q | vec(lam))``, and every trial's
+product and every gradient read one contiguous transposed copy of the
+samples, built on entry; the gradient at an
 accepted trial reuses the smoothed components that trial computed, and
 a new smoothing level re-runs only the kernel's O(N) stage on that
 trial's mu-free parts.  Each outer iteration projects ``y - g`` once,
@@ -73,7 +81,7 @@ _MU_MIN = 1e-300
 _MAX_CONSECUTIVE_STALLS = 3
 
 # The method's fixed constants, after the paper's symbols: the Armijo
-# test's sigma and backtrack factor rho (at most 60 backtracks a step),
+# test's sigma and grid factor rho (trial steps t0 * rho**j, j <= 60),
 # the initial smoothing level mu0 and its shrink factor omega, the phase
 # exit (at least n0 steps, then displacement per unit step under eta * mu)
 # and the stopping test (residual <= epsilon and mu <= mu_stop).
@@ -191,31 +199,101 @@ def _spectral_step(s: np.ndarray, r: np.ndarray, alpha0: float) -> float:
     return min(max(float(s @ s) / sr, floor), alpha0)
 
 
+def _search_exponent(passes, guess) -> int | None:
+    """The accepted exponent ``j`` in ``0..max_backtracks``, found by bracketing.
+
+    ``passes(j)`` runs trial ``j`` and reports whether it passed;
+    ``guess(j)``, asked after trial ``j`` failed before any trial
+    passed, proposes a real exponent for the next trial.  The search
+    tries ``j = 0`` first and keeps ``lo``, the largest failing ``j``,
+    and ``hi``, the smallest passing one.  Until a trial passes, the
+    next one is ``floor(guess)``, but at least ``lo + 1`` (exactly
+    ``lo + 1`` when the guess is not finite) and at most
+    ``max_backtracks``.  Then it tests ``hi - 1``, first right after the
+    first pass and later while ``hi - lo <= 3``, and bisects otherwise,
+    until ``hi - lo == 1``.  No ``j`` runs twice.  The returned ``j``
+    passes and ``j - 1`` failed, or ``j = 0``; when acceptance is
+    monotone in ``j`` that is the ``j`` a scan from 0 finds, and a guess
+    that never passes it costs no more trials than the scan.  None
+    means every trial up to ``max_backtracks`` that ran failed, that one
+    last.
+    """
+    lo, hi, j = -1, None, 0
+    while True:
+        if passes(j):
+            first_pass, hi = hi is None, j
+        else:
+            first_pass, lo = False, j
+            if hi is None:
+                if j == _MAX_BACKTRACKS:
+                    return None
+                e = guess(j)
+                j = lo + 1 if not math.isfinite(e) else min(
+                    max(lo + 1, math.floor(e)), _MAX_BACKTRACKS
+                )
+                continue
+        if hi - lo == 1:
+            return hi
+        j = hi - 1 if first_pass or hi - lo <= 3 else (lo + hi) // 2
+
+
 def _armijo_flat(
     y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, d: int, mu: float,
-    samples, amb, model, k: int, projected: tuple | None,
-) -> tuple[np.ndarray, _Smoothed | None, float, int]:
-    """Flat Armijo step from first trial ``stepsize``: ``(point, smoothed, stepsize, backtracks)``.
+    samples_t: np.ndarray, amb, model, k: int, projected: tuple | None,
+    last_step: float | None,
+) -> tuple[np.ndarray, _Smoothed | None, float | None, int]:
+    """Flat Armijo step on the grid ``stepsize * rho**j``: ``(point, smoothed, step, trials)``.
 
-    ``projected``, when given, is the projection ``(point, factor)`` of
-    ``y - stepsize * g``, which the caller already holds; it is the first
-    trial.  ``smoothed`` is the kernel result at the accepted point, or
-    None after a stall, when the point is ``y`` and ``backtracks`` counts all
-    ``_MAX_BACKTRACKS + 1`` failed trials.  A stall on a non-finite last
-    trial value raises :class:`NumericalError` naming outer iteration ``k``.
+    The exponent ``j`` comes from :func:`_search_exponent`.  After a
+    failed trial the guess is the minimiser of the quadratic through
+    ``f(y)``, the path slope ``g'(cand - y)`` and the trial value; after
+    trial 0 it is also no larger a step than ``last_step``, the solve's
+    previous accepted step, if any, since a phase's first trial
+    ``alpha0`` often lies many halvings above it.  The accepted step
+    passes the Armijo test and the one before it on the grid failed,
+    unless it is the first.  ``projected``, when given, is the
+    projection ``(point, factor)`` of ``y - stepsize * g``, which the
+    caller already holds; it is trial 0.  ``smoothed`` is the kernel
+    result at the accepted point, or None after a stall, when the point
+    is ``y`` and ``step`` is None; ``trials`` counts the smoothed
+    evaluations made.  A stall on a non-finite value at the last
+    exponent raises :class:`NumericalError` naming outer iteration ``k``.
     """
-    for backtracks in range(_MAX_BACKTRACKS + 1):
-        if backtracks == 0 and projected is not None:
+    log_rho = math.log(_RHO)
+    tried = {}  # j -> (value, path slope), for this step's trials only
+    accepted = None
+
+    def passes(j: int) -> bool:
+        nonlocal accepted
+        if j == 0 and projected is not None:
             cand, factor = projected
         else:
-            cand, factor = _project_flat(y - stepsize * g, d)
-        at = _smooth(cand, factor, d, samples, mu, amb, model)
-        if at.value <= fy + _SIGMA * float(g @ (cand - y)):
-            return cand, at, stepsize, backtracks
-        stepsize *= _RHO
-    if not math.isfinite(at.value):
-        raise _not_finite("objective", mu, k)
-    return y, None, stepsize, _MAX_BACKTRACKS + 1
+            cand, factor = _project_flat(y - (stepsize * _RHO**j) * g, d)
+        at = _smooth(cand, factor, d, samples_t, mu, amb, model)
+        slope = float(g @ (cand - y))
+        tried[j] = at.value, slope
+        if at.value <= fy + _SIGMA * slope:
+            accepted = cand, at
+            return True
+        return False
+
+    def guess(j: int) -> float:
+        value, slope = tried[j]
+        curvature = value - fy - slope
+        if not (math.isfinite(curvature) and curvature > 0.0):
+            return math.nan
+        ratio = -slope / (2.0 * curvature) * _RHO**j  # t_q / stepsize
+        if j == 0 and last_step is not None:
+            ratio = min(ratio, last_step / stepsize)
+        return math.log(ratio) / log_rho if ratio > 0.0 else math.nan
+
+    j = _search_exponent(passes, guess)
+    if j is None:
+        if not math.isfinite(tried[_MAX_BACKTRACKS][0]):
+            raise _not_finite("objective", mu, k)
+        return y, None, None, len(tried)
+    cand, at = accepted
+    return cand, at, stepsize * _RHO**j, len(tried)
 
 
 def spg_solve(
@@ -252,6 +330,7 @@ def spg_solve(
     trials = 0
     outer_done = 0
     consecutive_stalls = 0
+    stepsize = None  # the last accepted step; it guides the next line search
     status = STATUS_ITERATION_CAP
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     phases: list[tuple[float, ...]] | None = [] if record_trace else None
@@ -270,7 +349,7 @@ def spg_solve(
 
     # ``at`` always holds the kernel result at ``y``; a new smoothing
     # level re-runs only its O(N) stage on the stored mu-free parts.
-    at = _smooth(y, factor, d, samples, mu_k, amb, model)
+    at = _smooth(y, factor, d, samples_t, mu_k, amb, model)
     _trace_point(at.value)
     for k in range(spg.max_outer_iters):
         g = gradient(y, at, k)
@@ -283,21 +362,20 @@ def spg_solve(
         if residual >= _EPSILON:
             fy = at.value
             phase_log = [fy]
-            first = spg.alpha0  # the gradient changed with mu; no earlier step carries over
+            first = spg.alpha0  # the gradient changed with mu: restart the first trial
             for j in range(1, spg.max_inner_per_phase + 1):
                 if j > 1:
                     g_prev, g = g, gradient(y, at, k)
                     first = _spectral_step(step, g - g_prev, spg.alpha0)
                 # P(y - 1.0 * g) is the unit step that the residual projected
                 projected = unit if j == 1 and first == 1.0 else None
-                y_next, trial, stepsize, backtracks = _armijo_flat(
-                    y, fy, g, first, d, mu_k, samples, amb, model, k, projected
+                y_next, trial, stepsize, evaluations = _armijo_flat(
+                    y, fy, g, first, d, mu_k, samples_t, amb, model, k, projected, stepsize
                 )
+                trials += evaluations
                 if trial is None:
-                    trials += backtracks
                     stalled = True
                     break
-                trials += backtracks + 1
                 step = y_next - y
                 displacement = math.sqrt(step @ step)
                 y, at, fy = y_next, trial, trial.value

@@ -257,8 +257,8 @@ def test_run_backtest_covers_solver_paths():
     assert np.array_equal(w.weights, last.x)
     assert w.iters == last.iters == last.result.inner_iters > 0
     r = last.result
-    assert (w.outer_iters, w.grad_evals, w.residual, w.mu_final) == (
-        r.outer_iters, r.grad_evals, r.residual, r.mu_final
+    assert (w.outer_iters, w.grad_evals, w.trials, w.residual, w.mu_final) == (
+        r.outer_iters, r.grad_evals, r.trials, r.residual, r.mu_final
     )
     with pytest.raises(InvalidInputError, match="x0"):
         solve_model(panel, 15, 35, drcvar, x0=report.windows[0].weights)
@@ -273,7 +273,7 @@ def test_run_backtest_covers_solver_paths():
     assert report.t_bar == 2 and report.model_id == "scvar-l1"
     assert all(w.iters > 0 for w in report.windows)
     assert all(
-        (w.outer_iters, w.grad_evals, w.residual, w.mu_final) == (None,) * 4
+        (w.outer_iters, w.grad_evals, w.trials, w.residual, w.mu_final) == (None,) * 5
         for w in report.windows
     )
 
@@ -298,8 +298,8 @@ def assert_same_fits(a, b):
         assert (wa.t, wa.status, wa.iters, wa.portfolio_gross_return) == (
             wb.t, wb.status, wb.iters, wb.portfolio_gross_return
         )
-        assert (wa.outer_iters, wa.grad_evals, wa.residual, wa.mu_final) == (
-            wb.outer_iters, wb.grad_evals, wb.residual, wb.mu_final
+        assert (wa.outer_iters, wa.grad_evals, wa.trials, wa.residual, wa.mu_final) == (
+            wb.outer_iters, wb.grad_evals, wb.trials, wb.residual, wb.mu_final
         )
 
 
@@ -428,10 +428,10 @@ def test_report_to_dict_schema_and_rounding():
     for row, window in zip(doc["per_window"], report.windows):
         assert set(row) == {
             "t", "weights", "solve_seconds", "portfolio_gross_return", "status", "iters",
-            "outer_iters", "grad_evals", "residual", "mu_final",
+            "outer_iters", "grad_evals", "trials", "residual", "mu_final",
         }
         assert row["iters"] is None
-        assert row["outer_iters"] is row["grad_evals"] is None
+        assert row["outer_iters"] is row["grad_evals"] is row["trials"] is None
         assert row["residual"] is row["mu_final"] is None
         assert row["weights"] == [float(f"{v:.12g}") for v in window.weights]
     parsed = json.loads(json.dumps(doc))

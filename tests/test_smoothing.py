@@ -175,10 +175,11 @@ def test_mu_stage_on_stored_parts_equals_a_fresh_pass():
             23, d=3, n=25, scale=0.5, tau1=0.1, tau2=0.05, beta=0.9, psi=kind
         )
         flat, factor = _project_flat(random_dual_point(rng, 3).to_array(), 3)
-        at = _smooth(flat, factor, 3, samples, 1.0, amb, model)
+        samples_t = np.ascontiguousarray(samples.samples.T)
+        at = _smooth(flat, factor, 3, samples_t, 1.0, amb, model)
         for mu in (0.5, 1e-3, 1e-9):
             again = _at_level(at.parts, mu, amb, model)
-            fresh = _smooth(flat, factor, 3, samples, mu, amb, model)
+            fresh = _smooth(flat, factor, 3, samples_t, mu, amb, model)
             assert again.value == fresh.value
             assert again.spread_sum == fresh.spread_sum
             assert again.norm_val == fresh.norm_val

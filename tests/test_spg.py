@@ -15,6 +15,7 @@ from drtrack.spg import (
     STATUS_ITERATION_CAP,
     SpgParams,
     _residual,
+    _search_exponent,
     _spectral_step,
     default_start,
     spg_solve,
@@ -231,7 +232,7 @@ def test_spectral_first_trial_rule(monkeypatch):
     assert _spectral_step(s, np.array([100.0, 0.0, 0.0]), 2.0) == 0.125
 
 
-def test_spg_spectral_start_saves_line_search_trials():
+def capped_instance():
     panel = gen_synthetic(8, 500, 11)
     samples = build_sample_set(panel)
     moments = estimate_moments(panel)
@@ -239,8 +240,94 @@ def test_spg_spectral_start_saves_line_search_trials():
         mu_hat=moments.mu_hat, sigma_hat=moments.sigma_hat, kappa1=0.1, kappa2=1.0
     )
     model = ModelParams(tau1=2e-4, tau2=2e-4, beta=0.95)
-    caps = SpgParams(max_outer_iters=20, max_inner_per_phase=5)
-    res = spg_solve(default_start(samples, model), samples, amb, model, caps)
+    return default_start(samples, model), samples, amb, model
+
+
+CAPS = SpgParams(max_outer_iters=20, max_inner_per_phase=5)
+
+
+def test_spg_spectral_start_saves_line_search_trials():
+    res = spg_solve(*capped_instance(), CAPS)
     assert res.inner_iters == 100
     # restarting every line search at alpha0 costs 2.75 trials per step here
     assert res.inner_iters <= res.trials <= 2.0 * res.inner_iters
+
+
+def run_search(ok, guess):
+    """``_search_exponent`` on the pass pattern ``ok``: ``(result, exponents tried)``."""
+    tried = []
+
+    def passes(j):
+        tried.append(j)
+        return ok[j]
+
+    return _search_exponent(passes, guess), tried
+
+
+def scan_search(passes, guess):
+    """The one-at-a-time backtrack: the first passing exponent."""
+    return next((j for j in range(61) if passes(j)), None)
+
+
+def test_search_exponent_finds_the_scans_exponent_on_monotone_oracles():
+    for first in range(61):
+        ok = [j >= first for j in range(61)]
+        guesses = {
+            "none": lambda j: float("nan"),
+            "exact": lambda j: first + 0.5,
+            "under": lambda j: (j + first) / 2.0,
+        }
+        for name, guess in guesses.items():
+            found, tried = run_search(ok, guess)
+            assert found == first, name
+            assert len(tried) <= first + 1, name
+        # a guess past the first passing exponent costs trials, not the answer
+        for over in (1, 5, 60):
+            found, tried = run_search(ok, lambda j: first + over)
+            assert found == first and len(set(tried)) == len(tried)
+
+
+def test_search_exponent_brackets_any_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        ok = list(rng.random(61) < rng.uniform(0.05, 0.95))
+        marks = rng.uniform(-5.0, 70.0, size=61)
+        found, tried = run_search(ok, lambda j: marks[j])
+        assert len(set(tried)) == len(tried) and tried[0] == 0
+        if found is None:
+            assert tried[-1] == 60 and not any(ok[j] for j in tried)
+        else:
+            # the accepted exponent passes and the one before it failed
+            assert ok[found] and found in tried
+            assert found == 0 or (not ok[found - 1] and found - 1 in tried)
+
+
+def test_search_exponent_stalls_after_the_last_exponent():
+    for guess in (lambda j: float("nan"), lambda j: j + 7.0, lambda j: 1e300):
+        found, tried = run_search([False] * 61, guess)
+        assert found is None and tried[-1] == 60 and len(set(tried)) == len(tried)
+
+
+def test_search_exponent_steps_to_the_next_exponent_on_non_finite_guesses():
+    ok = [j >= 9 for j in range(61)]
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        found, tried = run_search(ok, lambda j: bad)
+        assert found == 9 and tried == list(range(10))
+    # finite guesses are floored, at least one past the largest failure
+    assert run_search(ok, lambda j: 12.9)[1][:2] == [0, 12]
+    assert run_search(ok, lambda j: -3.0)[1][:2] == [0, 1]
+
+
+def test_bracketed_search_matches_a_scan_in_fewer_trials(monkeypatch):
+    inputs = capped_instance()
+    bracketed = spg_solve(*inputs, CAPS, record_trace=True)
+    monkeypatch.setattr(spg_module, "_search_exponent", scan_search)
+    scanned = spg_solve(*inputs, CAPS, record_trace=True)
+    assert bracketed.nu.to_array().tobytes() == scanned.nu.to_array().tobytes()
+    for name in ("objective", "smooth_objective", "residual", "mu_final", "outer_iters",
+                 "inner_iters", "grad_evals", "status", "phase_objectives"):
+        assert getattr(bracketed, name) == getattr(scanned, name), name
+    assert [v for _, v in bracketed.trace] == [v for _, v in scanned.trace]
+    assert scanned.trials == 135
+    # without the previous accepted step as a guess the search makes 122
+    assert bracketed.trials == 118
