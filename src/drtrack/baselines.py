@@ -1,8 +1,8 @@
 """Non-robust reference solvers used for comparisons and backtests.
 
 The sample-average CVaR tracker is solved to a certified gap, the
-least-squares tracker with a ridge term by constant-step projected
-gradient.  Both share the simplex feasible set of the robust model.
+least-squares tracker with a ridge term exactly, by an active-set
+method.  Both share the simplex feasible set of the robust model.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ _THRESHOLD_TOLERANCE = 1e-12
 _THRESHOLD_STEPS = 64
 # Each iteration lowers the Lipschitz estimate by this factor before backtracking.
 _LIPSCHITZ_DECAY = 0.8
-# te_l2_solve takes at most this many steps and converges once a step moves
-# the weights by at most this much.
-TE_L2_MAX_STEPS = 10_000
-TE_L2_TOLERANCE = 1e-12
+# te_l2_solve converges once its Frank-Wolfe gap is at most this times the
+# data scale mean(xi_a**2) + trace(G).
+TE_L2_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -289,41 +288,42 @@ def scvar_solve(
 
 
 def te_l2_solve(samples: SampleSet, tau1: float) -> tuple[np.ndarray, float, str]:
-    """Least-squares tracker with ridge term over the simplex.
+    """Least-squares tracker with ridge term over the simplex, solved exactly.
 
-    Minimises ``mean((xi_a - xi_b @ x)^2) + tau1 * ||x||^2`` by
-    projected gradient with a constant stepsize of one over the
-    gradient's Lipschitz constant.  Returns the weights, the objective
-    and the status: ``converged`` once a step moves the weights by at
-    most :data:`TE_L2_TOLERANCE`, ``iteration-cap`` after
-    :data:`TE_L2_MAX_STEPS` steps.
+    Minimises ``mean((xi_a - xi_b @ x)^2) + tau1 * ||x||^2``, that is
+    ``x'Gx - 2b'x`` for ``G = xi_b'xi_b / N + tau1 I`` and ``b = xi_b'xi_a / N``,
+    by a primal active-set method from uniform weights (Nocedal & Wright
+    2006, section 16.5) whose KKT solves are least squares, so ``G`` may be
+    singular.  Returns the weights, the objective from the residuals and
+    ``converged`` iff the Frank-Wolfe gap ``g'x - min(g)``, ``g = 2(Gx - b)``,
+    is at most :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)``.
     """
     tau1 = float(tau1)
     if not (math.isfinite(tau1) and tau1 >= 0.0):
         raise InvalidInputError("tau1 must be a nonnegative finite float")
-    xb = samples.xi_b
-    xa = samples.xi_a
-    n = samples.n_samples
-    d = samples.n_assets
-    x = np.full(d, 1.0 / d)
-
-    def objective(w: np.ndarray) -> float:
-        r = xa - xb @ w
-        return float(r @ r) / n + tau1 * float(w @ w)
-
-    lipschitz = 2.0 * (np.linalg.norm(xb, 2) ** 2 / n + tau1)
-    if lipschitz <= 0.0:
-        # all-zero asset returns and no ridge: every weight vector is optimal
-        return x, objective(x), STATUS_CONVERGED
-    stepsize = 1.0 / lipschitz
-    status = STATUS_ITERATION_CAP
-    for _ in range(TE_L2_MAX_STEPS):
-        r = xa - xb @ x
-        grad = -2.0 * (xb.T @ r) / n + 2.0 * tau1 * x
-        x_new = project_simplex(x - stepsize * grad)
-        moved = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if moved <= TE_L2_TOLERANCE:
-            status = STATUS_CONVERGED
+    xb, xa, n, d = samples.xi_b, samples.xi_a, samples.n_samples, samples.n_assets
+    gram, b = xb.T @ xb / n + tau1 * np.eye(d), xb.T @ xa / n
+    # KKT matrix [G c1; c1' 0]: with c = trace(G) / d the rank cutoff scales with G
+    c = float(np.trace(gram)) / d or 1.0
+    kkt, rhs = np.pad(gram, (0, 1), constant_values=c), np.append(b, c)
+    kkt[d, d] = 0.0
+    tol = TE_L2_GAP * (float(xa @ xa) / n + float(np.trace(gram)))
+    x, support = np.full(d, 1.0 / d), np.ones(d, dtype=bool)
+    for _ in range(4 * d):  # each iteration drops or adds an asset; only cycling hits this
+        rows = np.append(np.flatnonzero(support), d)
+        step = np.linalg.lstsq(kkt[np.ix_(rows, rows)], rhs[rows], rcond=None)[0][:-1] - x[support]
+        ratios = np.divide(x[support], -step, out=np.full(step.size, math.inf), where=step < 0)
+        block = int(ratios.argmin())
+        x[support] = np.maximum(x[support] + min(ratios[block], 1.0) * step, 0.0)
+        if ratios[block] < 1.0:  # the blocking weight leaves the support
+            x[rows[block]], support[rows[block]] = 0.0, False
+            continue
+        g = 2.0 * (gram @ x - b)
+        enter = int(np.where(support, math.inf, g).argmin())
+        if support[enter] or g[enter] >= float(g @ x) - tol:  # else the least g_j enters
             break
-    return x, objective(x), status
+        support[enter] = True
+    x /= x.sum()
+    g, r = 2.0 * (gram @ x - b), xa - xb @ x
+    status = STATUS_CONVERGED if float(g @ x - g.min()) <= tol else STATUS_ITERATION_CAP
+    return x, float(r @ r) / n + tau1 * float(x @ x), status

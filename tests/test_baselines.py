@@ -428,7 +428,7 @@ def test_te_l2_weights_are_invariant_under_return_scaling():
     samples, _, _ = gaussian_instance(21, d=5, n=80, scale=0.01)
     for tau1 in (0.0, 1e-3):
         x, value, _ = te_l2_solve(samples, tau1)
-        for s in (1e-2, 1e2):
+        for s in (1e-50, 1e-2, 1e2, 1e50):
             scaled = SampleSet(samples=s * samples.samples)
             x_s, value_s, status = te_l2_solve(scaled, s * s * tau1)
             assert status == STATUS_CONVERGED
@@ -442,10 +442,52 @@ def test_te_l2_validation():
         te_l2_solve(samples, -1e-9)
 
 
-def test_te_l2_status_comes_from_its_displacement_test(monkeypatch):
+def test_te_l2_status_comes_from_its_gap_test(monkeypatch):
     samples, _, _ = gaussian_instance(11, d=3, n=30, scale=0.01)
     _, _, status = te_l2_solve(samples, 1e-3)
     assert status == STATUS_CONVERGED
-    monkeypatch.setattr(baselines, "TE_L2_MAX_STEPS", 1)
+    monkeypatch.setattr(baselines, "TE_L2_GAP", -1.0)
     _, _, status = te_l2_solve(samples, 0.0)
     assert status == STATUS_ITERATION_CAP
+
+
+def test_te_l2_certifies_a_panel_with_nearly_as_many_assets_as_days():
+    # 100 assets on 500 days with no ridge: the Frank-Wolfe gap, recomputed
+    # from the Gram matrix, is within 1e-12 of the data scale
+    samples = build_sample_set(gen_synthetic(100, 500, 0), 0, 500)
+    x, value, status = te_l2_solve(samples, 0.0)
+    assert status == STATUS_CONVERGED
+    assert x.min() >= 0.0 and x.sum() == pytest.approx(1.0, abs=1e-12)
+    xb, xa, n = samples.xi_b, samples.xi_a, samples.n_samples
+    gram = xb.T @ xb / n
+    g = 2.0 * (gram @ x - xb.T @ xa / n)
+    assert float(g @ x - g.min()) <= 1e-12 * (float(xa @ xa) / n + float(np.trace(gram)))
+    assert value == pytest.approx(float(np.square(xa - xb @ x).mean()), rel=1e-14)
+
+
+def _duplicated_asset():
+    samples, _, _ = gaussian_instance(13, d=3, n=40, scale=0.01)
+    xi_b = samples.xi_b
+    return np.column_stack([xi_b, xi_b[:, 1], samples.xi_a])
+
+
+def _zero_assets():
+    rng = np.random.default_rng(13)
+    return np.column_stack([np.zeros((40, 3)), rng.normal(0.0, 0.01, 40)])
+
+
+def _one_asset():
+    rng = np.random.default_rng(13)
+    return rng.normal(0.0, 0.01, (40, 2))
+
+
+@pytest.mark.parametrize("panel", [_duplicated_asset, _zero_assets, _one_asset])
+def test_te_l2_is_certified_on_degenerate_inputs(panel):
+    # a singular Gram matrix with no ridge, or a single asset
+    samples = SampleSet(samples=panel())
+    x, value, status = te_l2_solve(samples, 0.0)
+    assert status == STATUS_CONVERGED
+    assert x.min() >= 0.0
+    assert abs(x.sum() - 1.0) <= 1e-15
+    residual = samples.xi_a - samples.xi_b @ x
+    assert value == pytest.approx(float(np.square(residual).mean()), rel=1e-14)
