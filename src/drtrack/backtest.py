@@ -10,9 +10,10 @@ on the hold periods with compounded gross returns.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .baselines import BaselineParams, ScvarResult, scvar_solve, te_l2_solve
 from .data import ReturnPanel, build_sample_set, estimate_moments
 from .errors import DrTrackError, InvalidInputError
-from .model import AmbiguityParams, ModelParams, PsiKind
+from .model import AmbiguityParams, ModelParams, PsiKind, _check_budget
 from .spg import (
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
@@ -58,6 +59,10 @@ MODEL_IDS = ("drcvar-l2", "drcvar-l1", "scvar-l2", "scvar-l1", "te-l2")
 # values, written as literals so the enumeration is exact.
 TAU_GRID = (0.0, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3)
 
+# The SolveResult counters that a drcvar-* fit reports, in a backtest
+# window and in ``drtrack solve``.
+_SPG_COUNTERS = ("outer_iters", "grad_evals", "trials", "residual", "mu_final")
+
 
 @dataclass(frozen=True)
 class BacktestConfig:
@@ -80,10 +85,10 @@ class BacktestConfig:
             raise InvalidInputError(
                 f"model_id must be one of {MODEL_IDS}, got {self.model_id!r}"
             )
-        if self.window < 2:
-            raise InvalidInputError("window must be at least 2")
-        if self.hold < 1:
-            raise InvalidInputError("hold must be at least 1")
+        window = self.window
+        if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 2:
+            raise InvalidInputError(f"window must be an integer of at least 2, got {window!r}")
+        _check_budget(self.hold, "hold")
         psi = PsiKind.ABSOLUTE if self.model_id.endswith("-l1") else PsiKind.SQUARED
         object.__setattr__(self, "model", replace(self.model, psi=psi))
 
@@ -92,10 +97,12 @@ class BacktestConfig:
 class WindowResult:
     """Fitted weights and accounting for one rolling window.
 
-    ``iters`` is the fit's :attr:`ModelFit.iters`.  ``outer_iters``,
+    ``solve_seconds`` is the fit's :attr:`ModelFit.seconds` and
+    ``iters`` its :attr:`ModelFit.iters`.  ``outer_iters``,
     ``grad_evals``, ``trials``, ``residual`` and ``mu_final`` are those
     of the :class:`SolveResult` of a ``drcvar-*`` fit, and None for the
-    other models.
+    other models.  ``report_to_dict`` writes one JSON entry per window
+    with exactly these fields.
     """
 
     t: int
@@ -117,8 +124,8 @@ class BacktestReport:
 
     ``sigma2``, ``sharpe`` and ``turnover`` are None when undefined
     (fewer than two windows, or zero return variance for the Sharpe
-    ratio).  ``cpu_seconds`` is the sum of the windows' fit times, each
-    wall time from ``time.perf_counter``, not processor time.  Windows
+    ratio).  ``cpu_seconds`` is the sum of the windows' ``solve_seconds``,
+    each wall time from ``time.perf_counter``, not processor time.  Windows
     fitted in worker processes time themselves there, so
     ``cpu_seconds`` can exceed the run's wall time.
     """
@@ -144,11 +151,13 @@ class BacktestReport:
 
 class ModelFit(NamedTuple):
     """Weights, status, objective and iterations of one fit, with the
-    solver's own result.
+    solver's own result and the fit's wall time.
 
     ``result`` is the :class:`SolveResult` of ``drcvar-*``, whose
     ``inner_iters`` are the ``iters``, the :class:`ScvarResult` of
     ``scvar-*``, or None for ``te-l2``, whose ``iters`` are None too.
+    ``seconds`` is the wall time of :func:`solve_model`, from building
+    the samples to the end of the solver run.
     """
 
     x: np.ndarray
@@ -156,6 +165,7 @@ class ModelFit(NamedTuple):
     objective: float
     iters: int | None
     result: SolveResult | ScvarResult | None
+    seconds: float
 
 
 class Performance(NamedTuple):
@@ -200,15 +210,16 @@ def hold_gross_returns(
     Returns ``(index_gross, asset_gross)`` of shapes (t_bar,) and
     (t_bar, d): products of (1 + daily return) over each hold window.
     """
-    t_bar = _validated_t_bar(panel, config)
-    index_gross = np.empty(t_bar)
-    asset_gross = np.empty((t_bar, panel.n_assets))
-    for t in range(t_bar):
-        start = t * config.hold + config.window
-        stop = start + config.hold
-        index_gross[t] = np.prod(1.0 + panel.index_returns[start:stop])
-        asset_gross[t] = np.prod(1.0 + panel.asset_returns[start:stop], axis=0)
+    periods = range(_validated_t_bar(panel, config))
+    index_gross = np.array([_hold_gross(panel.index_returns, config, t) for t in periods])
+    asset_gross = np.array([_hold_gross(panel.asset_returns, config, t) for t in periods])
     return index_gross, asset_gross
+
+
+def _hold_gross(returns: np.ndarray, config: BacktestConfig, t: int):
+    """Products of (1 + daily return) of ``returns`` over hold period ``t`` (0-based)."""
+    start = t * config.hold + config.window
+    return np.prod(1.0 + returns[start : start + config.hold], axis=0)
 
 
 def _validated_t_bar(panel: ReturnPanel, config: BacktestConfig) -> int:
@@ -300,11 +311,13 @@ def solve_model(
     ``drcvar-*`` runs :func:`spg_solve` from :func:`default_start`,
     ``scvar-*`` :func:`scvar_solve` from ``x0`` (uniform weights if
     None) and ``te-l2`` :func:`te_l2_solve`, which records no trace.
-    Only ``scvar-*`` takes an ``x0``.
+    Only ``scvar-*`` takes an ``x0``.  The fit times itself: its
+    ``seconds`` run from building the samples to the solver's end.
     """
     model = config.model
     if x0 is not None and not config.model_id.startswith("scvar"):
         raise InvalidInputError(f"{config.model_id} takes no x0")
+    begin = time.perf_counter()
     samples = build_sample_set(panel, start, stop)
     if config.model_id.startswith("drcvar"):
         moments = estimate_moments(panel, start, stop)
@@ -317,14 +330,14 @@ def solve_model(
         result = spg_solve(
             default_start(samples, model), samples, amb, model, config.spg, record_trace
         )
-        return ModelFit(
-            result.nu.x, result.status, result.objective, result.inner_iters, result
-        )
-    if config.model_id.startswith("scvar"):
+        fit = (result.nu.x, result.status, result.objective, result.inner_iters, result)
+    elif config.model_id.startswith("scvar"):
         result = scvar_solve(samples, model, config.baseline, record_trace, x0=x0)
-        return ModelFit(result.x, result.status, result.objective, result.iters, result)
-    x, objective, status = te_l2_solve(samples, model.tau1)
-    return ModelFit(x, status, objective, None, None)
+        fit = (result.x, result.status, result.objective, result.iters, result)
+    else:
+        x, objective, status = te_l2_solve(samples, model.tau1)
+        fit = (x, status, objective, None, None)
+    return ModelFit(*fit, time.perf_counter() - begin)
 
 
 # Panel and config of the backtest whose windows this worker process
@@ -332,27 +345,18 @@ def solve_model(
 _worker_job: tuple[ReturnPanel, BacktestConfig] | None = None
 
 
-def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> tuple:
-    """Fit window ``t`` (1-based): ``(x, status, iters, seconds, stats)``.
-
-    ``stats`` holds the :class:`SolveResult` counters that
-    :class:`WindowResult` reports, or five Nones for the other models.
-    """
+def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> WindowResult:
+    """Fit window ``t`` (1-based) and price its hold period: the window's record."""
     start = (t - 1) * config.hold
-    stop = start + config.window
-    begin = time.perf_counter()
     try:
-        fit = solve_model(panel, start, stop, config, x0=x0)
+        fit = solve_model(panel, start, start + config.window, config, x0=x0)
     except DrTrackError as exc:
         raise type(exc)(f"window {t}: {exc}") from exc
-    seconds = time.perf_counter() - begin
-    r = fit.result
-    stats = (
-        (r.outer_iters, r.grad_evals, r.trials, r.residual, r.mu_final)
-        if isinstance(r, SolveResult)
-        else (None,) * 5
-    )
-    return fit.x, fit.status, fit.iters, seconds, stats
+    counters = {}
+    if isinstance(fit.result, SolveResult):
+        counters = {name: getattr(fit.result, name) for name in _SPG_COUNTERS}
+    gross = float(_hold_gross(panel.asset_returns, config, t - 1) @ fit.x)
+    return WindowResult(t, fit.x, fit.seconds, gross, fit.status, fit.iters, **counters)
 
 
 def _init_worker(panel: ReturnPanel, config: BacktestConfig) -> None:
@@ -360,7 +364,7 @@ def _init_worker(panel: ReturnPanel, config: BacktestConfig) -> None:
     _worker_job = (panel, config)
 
 
-def _fit_window_in_worker(t: int) -> tuple:
+def _fit_window_in_worker(t: int) -> WindowResult:
     return _fit_window(t, *_worker_job)
 
 
@@ -394,8 +398,8 @@ def _pool_workers(config: BacktestConfig, t_bar: int) -> int:
     return workers
 
 
-def _fit_windows(panel: ReturnPanel, config: BacktestConfig, t_bar: int) -> list[tuple]:
-    """Every window's :func:`_fit_window` result, in window order."""
+def _fit_windows(panel: ReturnPanel, config: BacktestConfig, t_bar: int) -> list[WindowResult]:
+    """Every window's record, in window order."""
     workers = _pool_workers(config, t_bar)
     if workers:
         import multiprocessing
@@ -413,9 +417,9 @@ def _fit_windows(panel: ReturnPanel, config: BacktestConfig, t_bar: int) -> list
         finally:
             pool.shutdown(cancel_futures=True)
     warm = config.model_id.startswith("scvar")
-    fits: list[tuple] = []
+    fits: list[WindowResult] = []
     for t in range(1, t_bar + 1):
-        x0 = fits[-1][0] if warm and fits else None
+        x0 = fits[-1].weights if warm and fits else None
         fits.append(_fit_window(t, panel, config, x0))
     return fits
 
@@ -436,12 +440,7 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
             f"no complete window+hold fits in {panel.n_days} days"
         )
     index_gross, asset_gross = hold_gross_returns(panel, config)
-    windows = [
-        WindowResult(t, x, seconds, float(asset_gross[t - 1] @ x), status, iters, *stats)
-        for t, (x, status, iters, seconds, stats) in enumerate(
-            _fit_windows(panel, config, t_bar), start=1
-        )
-    ]
+    windows = _fit_windows(panel, config, t_bar)
     mat = np.vstack([w.weights for w in windows])
     tei = compute_tei(mat, panel, config)
     teo = compute_teo(mat, index_gross, asset_gross)
@@ -511,6 +510,7 @@ def _round_sig(value: float) -> float:
 def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
     """JSON-ready document for one backtest report.
 
+    Each window's entry holds the fields of its :class:`WindowResult`.
     Weights are rounded to 12 significant digits; undefined metrics
     serialise as null.
     """
@@ -529,19 +529,8 @@ def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
         "cpu_seconds": report.cpu_seconds,
         "status_counts": report.status_counts,
         "per_window": [
-            {
-                "t": w.t,
-                "weights": [_round_sig(v) for v in w.weights],
-                "solve_seconds": w.solve_seconds,
-                "portfolio_gross_return": w.portfolio_gross_return,
-                "status": w.status,
-                "iters": w.iters,
-                "outer_iters": w.outer_iters,
-                "grad_evals": w.grad_evals,
-                "trials": w.trials,
-                "residual": w.residual,
-                "mu_final": w.mu_final,
-            }
+            {f.name: getattr(w, f.name) for f in fields(WindowResult)}
+            | {"weights": [_round_sig(v) for v in w.weights]}
             for w in report.windows
         ],
     }

@@ -19,13 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .backtest import (
+    _SPG_COUNTERS,
     MODEL_IDS,
     BacktestConfig,
     _round_sig,
@@ -176,27 +176,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     want_trace = args.trace_out is not None
     if want_trace and args.model == "te-l2":
         raise InvalidInputError("--trace-out is not available for te-l2")
-    begin = time.perf_counter()
     fit = solve_model(panel, start, stop, config, record_trace=want_trace)
     result = fit.result
     doc = {
         "model": args.model,
         "status": fit.status,
         "objective": fit.objective,
-        "wall_seconds": time.perf_counter() - begin,
+        "wall_seconds": fit.seconds,
         "weights": [_round_sig(v) for v in fit.x],
     }
     if isinstance(result, SolveResult):
-        doc.update(
-            smooth_objective=result.smooth_objective,
-            residual=result.residual,
-            mu_final=result.mu_final,
-            outer_iters=result.outer_iters,
-            inner_iters=result.inner_iters,
-            grad_evals=result.grad_evals,
-            trials=result.trials,
-            alpha=result.nu.alpha,
-        )
+        names = ("smooth_objective", "inner_iters", *_SPG_COUNTERS)
+        doc.update({k: getattr(result, k) for k in names}, alpha=result.nu.alpha)
     elif isinstance(result, ScvarResult):
         doc.update({k: getattr(result, k) for k in ("iters", "alpha", "lower_bound", "gap")})
     if want_trace and result.trace is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidInputError, NumericalError
-from .model import SampleSet
+from .model import SampleSet, _check_budget
 
 __all__ = [
     "ReturnPanel",
@@ -146,15 +147,22 @@ class GaussianMC:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InvalidInputError("count must be at least 1")
+        _check_budget(self.count, "count")
 
 
 SampleMode = Historical | GaussianMC
 
 
+def _check_int(value, name: str) -> None:
+    """Reject a row index or day that is not an integer (``bool`` included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_row_range(n_days: int, start: int, stop: int | None) -> tuple[int, int]:
     stop = n_days if stop is None else stop
+    _check_int(start, "start")
+    _check_int(stop, "stop")
     if not (0 <= start < stop <= n_days):
         raise InvalidInputError(
             f"row range [{start}, {stop}) is invalid for a panel of {n_days} days"
@@ -178,12 +186,14 @@ def gen_synthetic(
     ``regime_shift`` redraws loadings and noise scales from that day
     onward, creating a train/test distribution mismatch.
     """
-    if d < 1 or n_days < 1:
-        raise InvalidInputError("d and n_days must be at least 1")
-    if regime_shift is not None and not 0 < regime_shift < n_days:
-        raise InvalidInputError(
-            f"regime_shift must lie strictly inside (0, {n_days}), got {regime_shift}"
-        )
+    _check_budget(d, "d")
+    _check_budget(n_days, "n_days")
+    if regime_shift is not None:
+        _check_int(regime_shift, "regime_shift")
+        if not 0 < regime_shift < n_days:
+            raise InvalidInputError(
+                f"regime_shift must lie strictly inside (0, {n_days}), got {regime_shift}"
+            )
     rng = np.random.default_rng(seed)
     betas = rng.uniform(*beta_range, size=d)
     sigmas = rng.uniform(*sigma_range, size=d)

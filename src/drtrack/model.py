@@ -78,7 +78,7 @@ def _finite_float(value, name: str) -> float:
 
 
 def _check_budget(value, name: str) -> None:
-    """Reject an iteration budget that is not an integer of at least 1 (``bool`` included)."""
+    """Reject a budget or size that is not an integer of at least 1 (``bool`` included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise InvalidInputError(f"{name} must be an integer of at least 1, got {value!r}")
 

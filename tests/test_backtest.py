@@ -1,5 +1,6 @@
 """Rolling-window backtest, evaluation metrics, and the penalty grid."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from drtrack.backtest import (
     TAU_GRID,
     BacktestConfig,
     Performance,
+    WindowResult,
     compute_performance,
     compute_tei,
     compute_teo,
@@ -51,10 +53,13 @@ def fitted_weights(panel, t_bar, seed=0):
 def test_config_validation_and_psi_from_model_id():
     with pytest.raises(InvalidInputError):
         BacktestConfig(model_id="mystery", model=MODEL)
-    with pytest.raises(InvalidInputError):
-        BacktestConfig(model_id="te-l2", model=MODEL, window=1)
-    with pytest.raises(InvalidInputError):
-        BacktestConfig(model_id="te-l2", model=MODEL, hold=0)
+    for window in (1, 40.0, True):
+        with pytest.raises(InvalidInputError, match="window"):
+            BacktestConfig(model_id="te-l2", model=MODEL, window=window)
+    for hold in (0, 10.0, True):
+        with pytest.raises(InvalidInputError, match="hold"):
+            BacktestConfig(model_id="te-l2", model=MODEL, hold=hold)
+    assert BacktestConfig("te-l2", MODEL, window=np.int64(40), hold=np.int64(10)).hold == 10
     for model_id in MODEL_IDS:
         cfg = BacktestConfig(model_id=model_id, model=MODEL)
         expected = PsiKind.ABSOLUTE if model_id.endswith("-l1") else PsiKind.SQUARED
@@ -434,6 +439,25 @@ def test_report_to_dict_schema_and_rounding():
         assert row["outer_iters"] is row["grad_evals"] is row["trials"] is None
         assert row["residual"] is row["mu_final"] is None
         assert row["weights"] == [float(f"{v:.12g}") for v in window.weights]
+    # every model's windows serialise as their WindowResult fields
+    field_names = {f.name for f in dataclasses.fields(WindowResult)}
+    scvar = BacktestConfig("scvar-l2", MODEL, window=30, hold=10)
+    for cfg in (config, capped_drcvar("drcvar-l2"), scvar):
+        report = run_backtest(panel, cfg)
+        assert report.cpu_seconds == sum(w.solve_seconds for w in report.windows)
+        rows = json.loads(json.dumps(report_to_dict(report, cfg)))["per_window"]
+        assert len(rows) == report.t_bar
+        for row in rows:
+            assert set(row) == field_names
+            counters = [row[k] for k in ("outer_iters", "grad_evals", "trials")]
+            floats = [row["residual"], row["mu_final"]]
+            if cfg.model_id == "drcvar-l2":
+                assert all(type(v) is int for v in counters)
+                assert all(type(v) is float for v in floats)
+            else:
+                assert counters + floats == [None] * 5
+            if cfg.model_id == "scvar-l2":
+                assert type(row["iters"]) is int
     parsed = json.loads(json.dumps(doc))
     assert parsed["teo"] == doc["teo"]
     # undefined statistics serialise as null

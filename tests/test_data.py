@@ -101,6 +101,12 @@ def test_gen_synthetic_validation():
     for bad_shift in (0, 10, 11):
         with pytest.raises(InvalidInputError):
             gen_synthetic(d=2, n_days=10, seed=0, regime_shift=bad_shift)
+    for d, n_days, name in ((2.0, 10, "d"), (True, 10, "d"), (2, 10.0, "n_days")):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            gen_synthetic(d, n_days, 0)
+    with pytest.raises(InvalidInputError, match="regime_shift"):
+        gen_synthetic(d=2, n_days=60, seed=0, regime_shift=40.5)
+    assert gen_synthetic(np.int64(2), np.int32(10), 0, regime_shift=np.int64(5)).n_days == 10
 
 
 def test_gen_synthetic_regime_shift_changes_only_the_tail():
@@ -185,6 +191,9 @@ def test_estimate_moments_validation():
     for start, stop in ((-1, 4), (3, 3), (0, 7), (5, 4)):
         with pytest.raises(InvalidInputError):
             estimate_moments(panel, start=start, stop=stop)
+    for start, stop, name in ((1.5, 4, "start"), (0, 4.0, "stop"), (False, 4, "start")):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            estimate_moments(panel, start, stop)
     with pytest.raises(InvalidInputError):
         estimate_moments(panel, start=2, stop=3)
 
@@ -208,7 +217,11 @@ def test_build_sample_set_gaussian_mc():
     assert np.cov(a.samples.T, bias=True) == pytest.approx(
         est.sigma_hat, abs=5e-6
     )
-    with pytest.raises(InvalidInputError):
-        GaussianMC(count=0, seed=1)
+    for count in (0, 2.5, True):
+        with pytest.raises(InvalidInputError, match="count"):
+            GaussianMC(count=count, seed=1)
+    with pytest.raises(InvalidInputError, match="^stop must be an integer"):
+        build_sample_set(panel, 0, 40.0)
+    assert build_sample_set(panel, np.int64(0), np.int64(40)).n_samples == 40
     with pytest.raises(InvalidInputError):
         build_sample_set(panel, mode="historical")
