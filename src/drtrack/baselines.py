@@ -2,7 +2,9 @@
 
 The sample-average CVaR tracker is solved to a certified gap, the
 least-squares tracker with a ridge term exactly, by an active-set
-method.  Both share the simplex feasible set of the robust model.
+method on the d x d Gram matrix, which also bounds the CVaR tracker
+when its objective is that quadratic but for the plus-parts.  Both share
+the simplex feasible set of the robust model.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ _THRESHOLD_TOLERANCE = 1e-12
 _THRESHOLD_STEPS = 64
 # Each iteration lowers the Lipschitz estimate by this factor before backtracking.
 _LIPSCHITZ_DECAY = 0.8
-# te_l2_solve converges once its Frank-Wolfe gap is at most this times the
-# data scale mean(xi_a**2) + trace(G).
+# The active set (te_l2_solve, and scvar_solve's exact quadratic) stops once
+# its Frank-Wolfe gap is at most this times the data scale mean(xi_a**2) + trace(G).
 TE_L2_GAP = 1e-12
 
 
@@ -129,6 +131,11 @@ def _smoothed_threshold(losses: np.ndarray, alpha: float, mu: float, beta: float
     return alpha, np.maximum(z, 0.0) + mu * np.log1p(tail), sig
 
 
+def _threshold_bound(galpha: float, a_lo: float, a_hi: float) -> float:
+    """Minimum of ``alpha * galpha`` over the thresholds in ``[a_lo, a_hi]``."""
+    return min(a_lo * galpha, a_hi * galpha)
+
+
 def _fenchel_bound(v, g, galpha, xi_a, model: ModelParams, a_lo, a_hi) -> float:
     """Weak-duality lower bound on the minimum of :func:`scvar_objective`.
 
@@ -146,7 +153,7 @@ def _fenchel_bound(v, g, galpha, xi_a, model: ModelParams, a_lo, a_hi) -> float:
         value = float(v @ (xi_a - 0.25 * v)) / n
     else:
         value = float(v @ xi_a) / n
-    value += min(a_lo * galpha, a_hi * galpha)
+    value += _threshold_bound(galpha, a_lo, a_hi)
     if model.tau1 > 0.0:
         p = _simplex(g / (2.0 * model.tau1))
         return value + model.tau1 * float(p @ p) - float(g @ p)
@@ -174,8 +181,21 @@ def scvar_solve(
     surrogate formed, so each evaluated point costs one product with the
     samples.  Lower bound: the Fenchel dual bound (:func:`_fenchel_bound`)
     at the surrogate's own multipliers, whose ``g`` is read off the
-    surrogate's gradient.  Stops ``converged`` once the relative gap is
-    at most :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
+    surrogate's gradient.
+
+    With the squared penalty and ``tau1 = 0`` or ``tau2 = 0``, each
+    iteration instead bounds only the plus-parts, by the threshold's
+    logistic weights ``sigma``, and minimises the rest exactly: the
+    quadratic ``x'Gx - 2b'x`` of :func:`te_l2_solve` with
+    ``b + cvar_coef xi_b'sigma / (2N)`` for ``b``, by :func:`_simplex_qp`
+    warm from the last iteration's solution (the start point first).
+    Its value at the solution, from the residuals, less its Frank-Wolfe
+    gap, is the lower bound, and the solution, priced at its loss
+    quantile, is a second candidate for the upper bound; the FISTA
+    iterates are the same on both paths.
+
+    Stops ``converged`` once the relative gap is at most
+    :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
     ``params.max_iters`` iterations.  The first threshold, upper bound
     and ``mu`` come from the start's losses.  When the next extrapolated
     point is the accepted one at the same ``mu`` (after a restart, or a
@@ -207,15 +227,21 @@ def scvar_solve(
     # Every x has an optimal threshold among its losses, so in [a_lo, a_hi].
     a_lo, a_hi = -float(xi_b.max()), -float(xi_b.min())
     reach = a_hi - a_lo
+    # The exact quadratic bound's data, and its warm start, when it runs.
+    kkt = None
+    if model.psi is PsiKind.SQUARED and (tau1 == 0.0 or tau2 == 0.0):
+        kkt, b, qp_tol = _tracking_qp(xi_b, xi_a, tau1)
+        qp_x = x
 
     def surrogate(w: np.ndarray, a: float):
         """Value, x-gradient and alpha-derivative at ``w``, the alpha minimising
-        it, the losses ``-(xi_b @ w)`` and the multipliers ``psi'(c)``."""
+        it, the losses ``-(xi_b @ w)``, the multipliers ``psi'(c)`` and the
+        threshold's logistic weights (None with no CVaR weight)."""
         losses = -(xi_b @ w)
         c = xi_a + losses
         terms = smooth_psi(c, mu * mu, model.psi)
         v = weights = _smooth_psi_prime(c, mu * mu, model.psi)
-        galpha = 0.0
+        galpha, sig = 0.0, None
         if coef > 0.0:
             a, plus, sig = _smoothed_threshold(losses, a, mu, beta)
             terms = terms + coef * plus
@@ -224,7 +250,7 @@ def scvar_solve(
         value = float(terms.sum()) / n
         value += tau1 * float(w @ w) + tau2 * a
         grad = 2.0 * tau1 * w - xi_b.T @ weights / n
-        return value, grad, galpha, a, losses, v
+        return value, grad, galpha, a, losses, v, sig
 
     trace: list[tuple[float, float]] | None = [] if record_trace else None
     fx, t = math.inf, 1.0
@@ -233,13 +259,13 @@ def scvar_solve(
     at_y = None
     for k in range(params.max_iters):
         if at_y is None:
-            fy, gy, _, alpha, _, _ = surrogate(y, alpha)
+            fy, gy, _, alpha, _, _, _ = surrogate(y, alpha)
         else:
             fy, gy = at_y
         lipschitz *= _LIPSCHITZ_DECAY
         while True:
             x_new = project_simplex(y - gy / lipschitz)
-            f_new, g_new, galpha, alpha_new, losses, v = surrogate(x_new, alpha)
+            f_new, g_new, galpha, alpha_new, losses, v, sig = surrogate(x_new, alpha)
             step = x_new - y
             if f_new <= fy + float(gy @ step) + 0.5 * lipschitz * float(step @ step):
                 break
@@ -248,8 +274,23 @@ def scvar_solve(
         exact = _scvar_value(x_new, quantile, losses, xi_a, model)
         if exact < upper:
             upper, best_x, best_alpha = exact, x_new, quantile
-        # g_new = 2 tau1 x_new - xi_b' (v + coef sig) / n, so no new product.
-        bound = _fenchel_bound(v, 2.0 * tau1 * x_new - g_new, galpha, xi_a, model, a_lo, a_hi)
+        if kkt is None:
+            # g_new = 2 tau1 x_new - xi_b' (v + coef sig) / n, so no new product.
+            bound = _fenchel_bound(v, 2.0 * tau1 * x_new - g_new, galpha, xi_a, model, a_lo, a_hi)
+        else:
+            # (t)_+ >= sig t leaves the quadratic, minimised over the simplex.
+            shifted = b if sig is None else b + (0.5 * coef / n) * (xi_b.T @ sig)
+            qp_x, qp_g = _simplex_qp(kkt, shifted, qp_x, qp_tol)
+            qp_losses = -(xi_b @ qp_x)
+            quantile = _loss_quantile(qp_losses, beta)
+            exact = _scvar_value(qp_x, quantile, qp_losses, xi_a, model)
+            if exact < upper:
+                upper, best_x, best_alpha = exact, qp_x, quantile
+            r = xi_a + qp_losses
+            bound = float(r @ r) / n + tau1 * float(qp_x @ qp_x)
+            if sig is not None:
+                bound += coef * float(sig @ qp_losses) / n
+            bound += _threshold_bound(galpha, a_lo, a_hi) - float(qp_g @ qp_x - qp_g.min())
         # The optimum lies under upper, so a lower bound above it is rounding.
         lower = min(max(lower, bound), upper)
         gap = (upper - lower) / max(abs(upper), math.ulp(0.0))
@@ -292,26 +333,60 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> tuple[np.ndarray, float, str
 
     Minimises ``mean((xi_a - xi_b @ x)^2) + tau1 * ||x||^2``, that is
     ``x'Gx - 2b'x`` for ``G = xi_b'xi_b / N + tau1 I`` and ``b = xi_b'xi_a / N``,
-    by a primal active-set method from uniform weights (Nocedal & Wright
-    2006, section 16.5) whose KKT solves are least squares, so ``G`` may be
-    singular.  Returns the weights, the objective from the residuals and
-    ``converged`` iff the Frank-Wolfe gap ``g'x - min(g)``, ``g = 2(Gx - b)``,
-    is at most :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)``.
+    by :func:`_simplex_qp` from uniform weights.  Returns the weights, the
+    objective from the residuals and ``converged`` iff the Frank-Wolfe gap
+    ``g'x - min(g)``, ``g = 2(Gx - b)``, is at most :data:`TE_L2_GAP` times
+    ``mean(xi_a^2) + trace(G)``.
     """
     tau1 = float(tau1)
     if not (math.isfinite(tau1) and tau1 >= 0.0):
         raise InvalidInputError("tau1 must be a nonnegative finite float")
     xb, xa, n, d = samples.xi_b, samples.xi_a, samples.n_samples, samples.n_assets
-    gram, b = xb.T @ xb / n + tau1 * np.eye(d), xb.T @ xa / n
-    # KKT matrix [G c1; c1' 0]: with c = trace(G) / d the rank cutoff scales with G
-    c = float(np.trace(gram)) / d or 1.0
-    kkt, rhs = np.pad(gram, (0, 1), constant_values=c), np.append(b, c)
+    kkt, b, tol = _tracking_qp(xb, xa, tau1)
+    x, g = _simplex_qp(kkt, b, np.full(d, 1.0 / d), tol)
+    r = xa - xb @ x
+    status = STATUS_CONVERGED if float(g @ x - g.min()) <= tol else STATUS_ITERATION_CAP
+    return x, float(r @ r) / n + tau1 * float(x @ x), status
+
+
+def _tracking_qp(xi_b: np.ndarray, xi_a: np.ndarray, tau1: float):
+    """``mean((xi_a - xi_b @ x)^2) + tau1 ||x||^2`` as ``x'Gx - 2b'x`` plus a constant.
+
+    Returns the KKT matrix ``[G c1; c1' 0]`` of :func:`_simplex_qp`, whose
+    border ``c = trace(G) / d`` (1 if ``G = 0``) makes the least-squares
+    rank cutoff scale with ``G``, then ``b`` and the active set's
+    tolerance, :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)``.
+    """
+    n, d = xi_b.shape
+    gram = xi_b.T @ xi_b / n + tau1 * np.eye(d)
+    trace = float(np.trace(gram))
+    kkt = np.pad(gram, (0, 1), constant_values=trace / d or 1.0)
     kkt[d, d] = 0.0
-    tol = TE_L2_GAP * (float(xa @ xa) / n + float(np.trace(gram)))
-    x, support = np.full(d, 1.0 / d), np.ones(d, dtype=bool)
+    return kkt, xi_b.T @ xi_a / n, TE_L2_GAP * (float(xi_a @ xi_a) / n + trace)
+
+
+def _simplex_qp(kkt: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float):
+    """Minimise ``x'Gx - 2b'x`` over the simplex, ``kkt`` from :func:`_tracking_qp`.
+
+    A primal active-set method (Nocedal & Wright 2006, section 16.5) from
+    the weights ``x``, on the support of their positive entries.  Each
+    support's KKT system is solved by LU, or by least squares when LU
+    finds it singular, so ``G`` may be singular.  A weight that blocks the step leaves the
+    support; after a full step the asset of least ``g = 2(Gx - b)`` enters
+    if ``g_j < g'x - tol``, else the method stops.  Returns the weights,
+    rescaled to sum to 1, and ``g`` at them; ``x`` is not modified.
+    """
+    d = b.shape[0]
+    gram, rhs = kkt[:d, :d], np.append(b, kkt[d, 0])
+    x, support = x.copy(), x > 0.0
     for _ in range(4 * d):  # each iteration drops or adds an asset; only cycling hits this
         rows = np.append(np.flatnonzero(support), d)
-        step = np.linalg.lstsq(kkt[np.ix_(rows, rows)], rhs[rows], rcond=None)[0][:-1] - x[support]
+        system = kkt[np.ix_(rows, rows)]
+        try:
+            solution = np.linalg.solve(system, rhs[rows])
+        except np.linalg.LinAlgError:
+            solution = np.linalg.lstsq(system, rhs[rows], rcond=None)[0]
+        step = solution[:-1] - x[support]
         ratios = np.divide(x[support], -step, out=np.full(step.size, math.inf), where=step < 0)
         block = int(ratios.argmin())
         x[support] = np.maximum(x[support] + min(ratios[block], 1.0) * step, 0.0)
@@ -324,6 +399,4 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> tuple[np.ndarray, float, str
             break
         support[enter] = True
     x /= x.sum()
-    g, r = 2.0 * (gram @ x - b), xa - xb @ x
-    status = STATUS_CONVERGED if float(g @ x - g.min()) <= tol else STATUS_ITERATION_CAP
-    return x, float(r @ r) / n + tau1 * float(x @ x), status
+    return x, 2.0 * (gram @ x - b)

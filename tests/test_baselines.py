@@ -11,6 +11,7 @@ from drtrack.baselines import (
     BaselineParams,
     _fenchel_bound,
     _smoothed_threshold,
+    _threshold_bound,
     scvar_objective,
     scvar_solve,
     te_l2_solve,
@@ -230,22 +231,24 @@ def _scan_two_assets(samples, model, weights):
 @pytest.mark.parametrize("psi", [PsiKind.SQUARED, PsiKind.ABSOLUTE])
 @pytest.mark.parametrize("tau1", [0.0, 1e-3])
 def test_scvar_certificate_brackets_a_dense_scan_in_two_dimensions(psi, tau1):
-    samples, _, model = gaussian_instance(
-        12, d=2, n=30, scale=0.01, tau1=tau1, tau2=2e-4, beta=0.9, psi=psi
-    )
-    weights = np.linspace(0.0, 1.0, 20_001)
-    scan, alpha = _scan_two_assets(samples, model, weights)
-    # the vectorised scan is the scalar oracle's objective, checked at every 1000th weight
-    for j in range(0, weights.size, 1000):
-        x = np.array([weights[j], 1.0 - weights[j]])
-        assert scan[j] == pytest.approx(
-            oracles.scvar_objective_reference(x, alpha[j], samples, model), rel=1e-12
+    # with no CVaR weight the squared penalty's fit is the exact quadratic's
+    for tau2 in (2e-4, 0.0):
+        samples, _, model = gaussian_instance(
+            12, d=2, n=30, scale=0.01, tau1=tau1, tau2=tau2, beta=0.9, psi=psi
         )
-    scan_min = float(scan.min())
-    res = scvar_solve(samples, model)
-    assert res.status == STATUS_CONVERGED
-    assert res.lower_bound <= scan_min + 1e-12
-    assert res.objective <= scan_min + res.gap * res.objective
+        weights = np.linspace(0.0, 1.0, 20_001)
+        scan, alpha = _scan_two_assets(samples, model, weights)
+        # the vectorised scan is the scalar oracle's objective, checked at every 1000th weight
+        for j in range(0, weights.size, 1000):
+            x = np.array([weights[j], 1.0 - weights[j]])
+            assert scan[j] == pytest.approx(
+                oracles.scvar_objective_reference(x, alpha[j], samples, model), rel=1e-12
+            )
+        scan_min = float(scan.min())
+        res = scvar_solve(samples, model)
+        assert res.status == STATUS_CONVERGED
+        assert res.lower_bound <= scan_min + 1e-12
+        assert res.objective <= scan_min + res.gap * res.objective
 
 
 @pytest.mark.parametrize("psi", [PsiKind.SQUARED, PsiKind.ABSOLUTE])
@@ -271,17 +274,57 @@ def test_scvar_objective_scales_with_the_returns(psi):
         assert abs(res.objective - expected) <= max(res.gap, base.gap) * expected
 
 
-def test_scvar_with_zero_cvar_weight_matches_te_l2(monkeypatch):
-    # without the threshold term both baselines minimise the same function;
-    # the default 1e-3 certificate is looser than the 5e-4 asked of it here
-    monkeypatch.setattr(baselines, "GAP_TOLERANCE", 1e-6)
+def test_scvar_with_zero_cvar_weight_matches_te_l2():
+    # without the threshold term both baselines minimise the same quadratic,
+    # which the squared penalty's fit then solves exactly, at the default tolerance
     samples, _, model = gaussian_instance(8, d=3, n=30, scale=0.01,
                                           tau1=1e-3, tau2=0.0, beta=0.9)
     sub = scvar_solve(samples, model, BaselineParams(max_iters=20_000))
     x_pg, f_pg, _ = te_l2_solve(samples, model.tau1)
     assert sub.status == STATUS_CONVERGED
-    assert sub.objective == pytest.approx(f_pg, rel=5e-4, abs=1e-10)
+    assert sub.objective == pytest.approx(f_pg, rel=1e-10, abs=0.0)
+    assert sub.gap <= 1e-10
     assert sub.lower_bound <= f_pg
+
+
+def test_scvar_certifies_a_tight_gap_without_a_ridge(monkeypatch):
+    # at tau1 = 0 the Fenchel bound's simplex term is -max g, and with it this
+    # fit ended at iteration-cap after 50,000 iterations, at a gap of 1.005e-8;
+    # the exact quadratic's bound certifies it within a few dozen
+    monkeypatch.setattr(baselines, "GAP_TOLERANCE", 1e-8)
+    samples = build_sample_set(gen_synthetic(8, 500, 0), 0, 500)
+    model = ModelParams(tau1=0.0, tau2=2e-4)
+    res = scvar_solve(samples, model, BaselineParams(max_iters=200))
+    assert res.status == STATUS_CONVERGED
+    assert res.gap <= 1e-8
+    assert res.objective == pytest.approx(
+        scvar_objective(res.x, res.alpha, samples, model), rel=1e-12
+    )
+
+
+def test_scvar_solves_the_exact_quadratic_only_for_the_squared_penalty_at_a_zero_tau(monkeypatch):
+    calls = []
+
+    def counted(*args, _inner=baselines._simplex_qp):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(baselines, "_simplex_qp", counted)
+    cases = [
+        (PsiKind.SQUARED, 1e-3, 2e-4, False),
+        (PsiKind.ABSOLUTE, 0.0, 2e-4, False),
+        (PsiKind.ABSOLUTE, 1e-3, 0.0, False),
+        (PsiKind.SQUARED, 0.0, 2e-4, True),
+        (PsiKind.SQUARED, 1e-3, 0.0, True),
+    ]
+    for psi, tau1, tau2, exact in cases:
+        samples, _, model = gaussian_instance(8, d=3, n=30, scale=0.01,
+                                              tau1=tau1, tau2=tau2, beta=0.9, psi=psi)
+        res = scvar_solve(samples, model)
+        assert res.status == STATUS_CONVERGED
+        # one active-set solve per iteration on the exact path, none off it
+        assert len(calls) == (res.iters if exact else 0)
+        calls.clear()
 
 
 def test_scvar_with_zero_cvar_weight_skips_the_threshold_solve(monkeypatch):
@@ -378,15 +421,17 @@ def test_fenchel_bound_at_random_multipliers_is_below_a_dense_scan(psi, tau1):
 @pytest.mark.parametrize("psi", [PsiKind.SQUARED, PsiKind.ABSOLUTE])
 def test_scvar_lower_bound_holds_with_an_unsolved_threshold(monkeypatch, psi):
     # one Newton step leaves mean(sigma) off 1 - beta, so the alpha-derivative
-    # is not zero, and the returned threshold may lie outside the loss range
+    # is not zero, and the returned threshold may lie outside the loss range;
+    # the Fenchel bound (|c|) and the exact quadratic's (c^2 at tau1 = 0)
+    # both take the threshold's term from _threshold_bound
     monkeypatch.setattr(baselines, "_THRESHOLD_STEPS", 1)
     galphas = []
 
-    def recorded(v, g, galpha, *rest):
+    def recorded(galpha, *rest):
         galphas.append(galpha)
-        return _fenchel_bound(v, g, galpha, *rest)
+        return _threshold_bound(galpha, *rest)
 
-    monkeypatch.setattr(baselines, "_fenchel_bound", recorded)
+    monkeypatch.setattr(baselines, "_threshold_bound", recorded)
     samples, _, model = gaussian_instance(
         12, d=2, n=30, scale=0.01, tau1=0.0, tau2=2e-4, beta=0.9, psi=psi
     )
