@@ -10,7 +10,6 @@ on the hold periods with compounded gross returns.
 
 from __future__ import annotations
 
-import numbers
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -85,9 +84,7 @@ class BacktestConfig:
             raise InvalidInputError(
                 f"model_id must be one of {MODEL_IDS}, got {self.model_id!r}"
             )
-        window = self.window
-        if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 2:
-            raise InvalidInputError(f"window must be an integer of at least 2, got {window!r}")
+        _check_budget(self.window, "window", 2)
         _check_budget(self.hold, "hold")
         psi = PsiKind.ABSOLUTE if self.model_id.endswith("-l1") else PsiKind.SQUARED
         object.__setattr__(self, "model", replace(self.model, psi=psi))

@@ -21,7 +21,9 @@ from .model import (
     PsiKind,
     SampleSet,
     _check_budget,
+    _finite_float,
     _loss_quantile,
+    _readonly,
     psi_value,
     var_threshold,
 )
@@ -37,7 +39,7 @@ __all__ = [
     "te_l2_solve",
 ]
 
-# scvar_solve stops converged once (upper - lower) / |upper| is at most this.
+# scvar_solve stops converged once its relative gap (ScvarResult.gap) is at most this.
 GAP_TOLERANCE = 1e-3
 # Newton on the smoothed threshold stops at this residual or this many steps.
 _THRESHOLD_TOLERANCE = 1e-12
@@ -63,7 +65,9 @@ class BaselineParams:
 class ScvarResult:
     """Best iterate of the CVaR solver, ``alpha`` its loss quantile.
 
-    ``gap`` is ``(objective - lower_bound) / |objective|``.  ``trace``, if
+    ``gap`` is ``(objective - lower_bound) / max(|objective|, floor)``, the
+    floor :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)`` over
+    :data:`GAP_TOLERANCE` (see :func:`te_l2_solve`).  ``trace``, if
     requested, holds ``(cpu_seconds, best objective so far)`` per iteration,
     where ``cpu_seconds`` is the wall time since the solve started
     (``time.perf_counter``), not processor time.
@@ -81,11 +85,8 @@ class ScvarResult:
 
 def scvar_objective(x, alpha, samples: SampleSet, model: ModelParams) -> float:
     """Sample-average objective: mean tracking penalty, ridge, CVaR part."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (samples.n_assets,):
-        raise InvalidInputError(f"x must have shape ({samples.n_assets},), got {x.shape}")
-    if not (np.isfinite(x).all() and math.isfinite(alpha)):
-        raise InvalidInputError("x and alpha must be finite")
+    x = _readonly(x, "x", (samples.n_assets,))
+    alpha = _finite_float(alpha, "alpha")
     return _scvar_value(x, alpha, -(samples.xi_b @ x), samples.xi_a, model)
 
 
@@ -194,7 +195,7 @@ def scvar_solve(
     quantile, is a second candidate for the upper bound; the FISTA
     iterates are the same on both paths.
 
-    Stops ``converged`` once the relative gap is at most
+    Stops ``converged`` once the gap of :class:`ScvarResult` is at most
     :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
     ``params.max_iters`` iterations.  The first threshold, upper bound
     and ``mu`` come from the start's losses.  When the next extrapolated
@@ -208,12 +209,7 @@ def scvar_solve(
     if x0 is None:
         x = np.full(samples.n_assets, 1.0 / samples.n_assets)
     else:
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (samples.n_assets,):
-            raise InvalidInputError(f"x0 must have shape ({samples.n_assets},), got {x.shape}")
-        if not np.isfinite(x).all():
-            raise InvalidInputError("x0 must be finite")
-        x = _simplex(x)
+        x = _simplex(_readonly(x0, "x0", (samples.n_assets,)))
     y = best_x = x
     alpha = best_alpha = var_threshold(x, samples, beta)
     upper, lower = scvar_objective(x, alpha, samples, model), -math.inf
@@ -223,7 +219,12 @@ def scvar_solve(
     margin_rate = coef * math.log(2.0) + (model.psi is PsiKind.ABSOLUTE)
     # Lipschitz estimate: the trace of a Hessian bound (0 only if the gradient is).
     curvature = (2.0 if model.psi is PsiKind.SQUARED else 1.0 / mu) + coef / (4.0 * mu)
-    lipschitz = (float(np.sum(np.square(xi_b))) / n * curvature + 2.0 * tau1) or 1.0
+    power = float(np.sum(np.square(xi_b))) / n  # trace(xi_b'xi_b) / N
+    lipschitz = (power * curvature + 2.0 * tau1) or 1.0
+    # Differences under the active set's tolerance are rounding, so an optimum
+    # of 0 (an exactly replicated index) still certifies.
+    scale = TE_L2_GAP * (float(xi_a @ xi_a) / n + power + tau1 * samples.n_assets)
+    floor = max(scale / GAP_TOLERANCE, math.ulp(0.0))
     # Every x has an optimal threshold among its losses, so in [a_lo, a_hi].
     a_lo, a_hi = -float(xi_b.max()), -float(xi_b.min())
     reach = a_hi - a_lo
@@ -293,7 +294,7 @@ def scvar_solve(
             bound += _threshold_bound(galpha, a_lo, a_hi) - float(qp_g @ qp_x - qp_g.min())
         # The optimum lies under upper, so a lower bound above it is rounding.
         lower = min(max(lower, bound), upper)
-        gap = (upper - lower) / max(abs(upper), math.ulp(0.0))
+        gap = (upper - lower) / max(abs(upper), floor)
         if trace is not None:
             trace.append((time.perf_counter() - start_time, upper))
         if gap <= GAP_TOLERANCE:
@@ -338,9 +339,9 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> tuple[np.ndarray, float, str
     ``g'x - min(g)``, ``g = 2(Gx - b)``, is at most :data:`TE_L2_GAP` times
     ``mean(xi_a^2) + trace(G)``.
     """
-    tau1 = float(tau1)
-    if not (math.isfinite(tau1) and tau1 >= 0.0):
-        raise InvalidInputError("tau1 must be a nonnegative finite float")
+    tau1 = _finite_float(tau1, "tau1")
+    if tau1 < 0.0:
+        raise InvalidInputError(f"tau1 must be nonnegative, got {tau1!r}")
     xb, xa, n, d = samples.xi_b, samples.xi_a, samples.n_samples, samples.n_assets
     kkt, b, tol = _tracking_qp(xb, xa, tau1)
     x, g = _simplex_qp(kkt, b, np.full(d, 1.0 / d), tol)

@@ -10,8 +10,6 @@ on positive definiteness.
 from __future__ import annotations
 
 import csv
-import math
-import numbers
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -59,8 +57,9 @@ class ReturnPanel:
         dates = tuple(self.dates)
         if any(not isinstance(day, date) for day in dates):
             raise InvalidInputError("dates must be datetime.date values")
-        if any(b <= a for a, b in zip(dates, dates[1:])):
-            raise InvalidInputError("dates must be strictly increasing")
+        for a, b in zip(dates, dates[1:]):
+            if b <= a:
+                raise InvalidInputError(f"dates must be strictly increasing: {b} follows {a}")
         idx = np.array(self.index_returns, dtype=float, copy=True)
         assets = np.array(self.asset_returns, dtype=float, copy=True)
         names = tuple(str(n) for n in self.asset_names)
@@ -80,12 +79,15 @@ class ReturnPanel:
         if any(not name for name in names):
             raise InvalidInputError("asset names must be non-empty")
         if len(set(names)) != len(names):
-            raise InvalidInputError("asset names must be unique")
-        for label, arr in (("index", idx), ("asset", assets)):
-            if not np.isfinite(arr).all():
-                raise InvalidInputError(f"{label} returns contain non-finite entries")
-            if arr.min() <= -1.0:
-                raise InvalidInputError(f"{label} returns must be greater than -1")
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise InvalidInputError(f"asset names must be unique: {repeated!r} repeats")
+        bad = np.column_stack([~(np.isfinite(arr) & (arr > -1.0)) for arr in (idx, assets)])
+        if bad.any():
+            row, col = divmod(int(bad.argmax()), bad.shape[1])
+            value = float(idx[row] if col == 0 else assets[row, col - 1])
+            column = "index" if col == 0 else f"asset {names[col - 1]!r}"
+            rule = "be greater than -1" if np.isfinite(value) else "be finite"
+            raise InvalidInputError(f"{column} return on {dates[row]} must {rule}, got {value!r}")
         idx.setflags(write=False)
         assets.setflags(write=False)
         object.__setattr__(self, "dates", dates)
@@ -153,16 +155,10 @@ class GaussianMC:
 SampleMode = Historical | GaussianMC
 
 
-def _check_int(value, name: str) -> None:
-    """Reject a row index or day that is not an integer (``bool`` included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_row_range(n_days: int, start: int, stop: int | None) -> tuple[int, int]:
     stop = n_days if stop is None else stop
-    _check_int(start, "start")
-    _check_int(stop, "stop")
+    _check_budget(start, "start", 0)
+    _check_budget(stop, "stop", 0)
     if not (0 <= start < stop <= n_days):
         raise InvalidInputError(
             f"row range [{start}, {stop}) is invalid for a panel of {n_days} days"
@@ -189,7 +185,7 @@ def gen_synthetic(
     _check_budget(d, "d")
     _check_budget(n_days, "n_days")
     if regime_shift is not None:
-        _check_int(regime_shift, "regime_shift")
+        _check_budget(regime_shift, "regime_shift")
         if not 0 < regime_shift < n_days:
             raise InvalidInputError(
                 f"regime_shift must lie strictly inside (0, {n_days}), got {regime_shift}"
@@ -230,7 +226,11 @@ def save_returns_csv(panel: ReturnPanel, path) -> None:
 
 
 def load_returns_csv(path) -> ReturnPanel:
-    """Parse a returns CSV, rejecting any structural inconsistency."""
+    """Parse a returns CSV, naming the row and column of a parse error.
+
+    :class:`ReturnPanel` validates the result; its errors come back as a
+    :class:`DataError` naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
@@ -244,11 +244,6 @@ def load_returns_csv(path) -> ReturnPanel:
             raise DataError(
                 f"{path}: header must be 'date,index,<asset names>', got {header!r}"
             )
-        names = tuple(header[2:])
-        if any(not n for n in names):
-            raise DataError(f"{path}: blank asset name in header")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: duplicate asset names in header")
         dates: list[date] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
@@ -257,43 +252,27 @@ def load_returns_csv(path) -> ReturnPanel:
                     f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
                 )
             try:
-                day = date.fromisoformat(row[0])
+                dates.append(date.fromisoformat(row[0]))
             except ValueError:
                 raise DataError(
                     f"{path}: row {lineno} column 'date': not an ISO date: {row[0]!r}"
                 ) from None
-            if dates and day <= dates[-1]:
-                raise DataError(
-                    f"{path}: row {lineno}: dates must be strictly increasing"
-                )
             values: list[float] = []
             for col, cell in zip(header[1:], row[1:]):
                 try:
-                    value = float(cell)
+                    values.append(float(cell))
                 except ValueError:
                     raise DataError(
                         f"{path}: row {lineno} column {col!r}: not a number: {cell!r}"
                     ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {lineno} column {col!r}: non-finite return"
-                    )
-                if value <= -1.0:
-                    raise DataError(
-                        f"{path}: row {lineno} column {col!r}: return {value} is <= -1"
-                    )
-                values.append(value)
-            dates.append(day)
             rows.append(values)
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
-    table = np.array(rows, dtype=float)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
     try:
         return ReturnPanel(
             dates=tuple(dates),
             index_returns=table[:, 0],
             asset_returns=table[:, 1:],
-            asset_names=names,
+            asset_names=tuple(header[2:]),
         )
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -46,23 +46,12 @@ __all__ = [
 ]
 
 
-def _readonly_vector(value, name: str, size: int | None = None) -> np.ndarray:
+def _readonly(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """Read-only float copy of a finite array of ``shape``; a ``None`` size is free."""
     arr = np.array(value, dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be a 1-d array, got shape {arr.shape}")
-    if size is not None and arr.shape[0] != size:
-        raise InvalidInputError(f"{name} must have length {size}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _readonly_matrix(value, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    arr = np.array(value, dtype=float, copy=True)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be a 2-d array, got shape {arr.shape}")
-    if shape is not None and arr.shape != shape:
+    if arr.ndim != len(shape):
+        raise InvalidInputError(f"{name} must be a {len(shape)}-d array, got shape {arr.shape}")
+    if any(size not in (None, got) for size, got in zip(shape, arr.shape)):
         raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
@@ -77,10 +66,10 @@ def _finite_float(value, name: str) -> float:
     return out
 
 
-def _check_budget(value, name: str) -> None:
-    """Reject a budget or size that is not an integer of at least 1 (``bool`` included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidInputError(f"{name} must be an integer of at least 1, got {value!r}")
+def _check_budget(value, name: str, minimum: int = 1) -> None:
+    """Reject a size or index that is not an integer of at least ``minimum`` (or is a ``bool``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 class PsiKind(enum.Enum):
@@ -147,9 +136,9 @@ class AmbiguityParams:
     kappa2: float
 
     def __post_init__(self) -> None:
-        mu = _readonly_vector(self.mu_hat, "mu_hat")
+        mu = _readonly(self.mu_hat, "mu_hat", (None,))
         n = mu.shape[0]
-        sig = _readonly_matrix(self.sigma_hat, "sigma_hat", (n, n))
+        sig = _readonly(self.sigma_hat, "sigma_hat", (n, n))
         scale = max(1.0, float(np.abs(sig).max()))
         if float(np.abs(sig - sig.T).max()) > 1e-12 * scale:
             raise InvalidInputError("sigma_hat must be symmetric")
@@ -186,7 +175,7 @@ class SampleSet:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _readonly_matrix(self.samples, "samples")
+        arr = _readonly(self.samples, "samples", (None, None))
         if arr.shape[0] < 1 or arr.shape[1] < 2:
             raise InvalidInputError(
                 f"samples must have at least 1 row and 2 columns, got {arr.shape}"
@@ -219,7 +208,7 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _readonly_vector(self.weights, "weights")
+        w = _readonly(self.weights, "weights", (None,))
         if w.shape[0] < 1:
             raise InvalidInputError("weights must be non-empty")
         if w.min() < 0:
@@ -231,8 +220,7 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteDistribution":
-        if n < 1:
-            raise InvalidInputError("n must be at least 1")
+        _check_budget(n, "n")
         return cls(np.full(n, 1.0 / n))
 
 
@@ -253,11 +241,11 @@ class DualPoint:
     lam: np.ndarray
 
     def __post_init__(self) -> None:
-        x = _readonly_vector(self.x, "x")
+        x = _readonly(self.x, "x", (None,))
         d = x.shape[0]
         alpha = _finite_float(self.alpha, "alpha")
-        q = _readonly_vector(self.q, "q", d + 1)
-        lam = _readonly_matrix(self.lam, "lam", (d + 1, d + 1))
+        q = _readonly(self.q, "q", (d + 1,))
+        lam = _readonly(self.lam, "lam", (d + 1, d + 1))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "q", q)
@@ -323,9 +311,9 @@ def evaluate_khat(x, alpha, xi, model: ModelParams) -> float:
     Computes ``psi(xi_a - xi_b @ x) + tau2/(1-beta) * max(-x @ xi_b - alpha, 0)
     + tau1 * ||x||^2 + tau2 * alpha`` for one joint sample ``xi``.
     """
-    x = _readonly_vector(x, "x")
+    x = _readonly(x, "x", (None,))
     alpha = _finite_float(alpha, "alpha")
-    xi = _readonly_vector(xi, "xi")
+    xi = _readonly(xi, "xi", (None,))
     _check_sample_dim(xi.shape[0], x.shape[0], "xi")
     xi_b, xi_a = xi[:-1], xi[-1]
     loss = -float(xi_b @ x)
@@ -378,7 +366,7 @@ def evaluate_phi_n(
 
 def portfolio_losses(x, samples: SampleSet) -> np.ndarray:
     """Per-scenario portfolio losses ``-x @ xi_b``, shape ``(N,)``."""
-    x = _readonly_vector(x, "x", samples.n_assets)
+    x = _readonly(x, "x", (samples.n_assets,))
     return -(samples.xi_b @ x)
 
 

@@ -10,8 +10,10 @@ from drtrack.baselines import (
     GAP_TOLERANCE,
     BaselineParams,
     _fenchel_bound,
+    _simplex_qp,
     _smoothed_threshold,
     _threshold_bound,
+    _tracking_qp,
     scvar_objective,
     scvar_solve,
     te_l2_solve,
@@ -300,6 +302,33 @@ def test_scvar_certifies_a_tight_gap_without_a_ridge(monkeypatch):
     assert res.objective == pytest.approx(
         scvar_objective(res.x, res.alpha, samples, model), rel=1e-12
     )
+
+
+def test_scvar_certifies_a_zero_optimum():
+    # assets that replicate the index exactly: the optimum is 0 and both bounds
+    # are rounding, so a gap relative to |objective| alone could never close
+    panel = gen_synthetic(3, 130, 2, beta_range=(1.0, 1.0), sigma_range=(0.0, 0.0))
+    samples = build_sample_set(panel, 0, 100)
+    for psi in (PsiKind.SQUARED, PsiKind.ABSOLUTE):
+        model = ModelParams(tau1=0.0, tau2=0.0, psi=psi)
+        res = scvar_solve(samples, model, BaselineParams(max_iters=100))
+        assert res.status == STATUS_CONVERGED
+        assert res.gap <= GAP_TOLERANCE
+        assert res.lower_bound <= res.objective <= 1e-15
+
+
+def test_simplex_qp_grows_the_support_from_a_vertex():
+    # every asset enters the support on the way from e_1 to the optimum
+    samples = build_sample_set(gen_synthetic(8, 500, 0), 0, 500)
+    for tau1 in (0.0, 2e-4):
+        kkt, b, tol = _tracking_qp(samples.xi_b, samples.xi_a, tau1)
+        vertex = np.eye(8)[0]
+        x, g = _simplex_qp(kkt, b, vertex, tol)
+        assert vertex.sum() == 1.0 and np.count_nonzero(vertex) == 1  # not modified
+        assert np.count_nonzero(x) == 8
+        assert float(g @ x - g.min()) <= tol
+        reference, _ = _simplex_qp(kkt, b, np.full(8, 0.125), tol)
+        assert np.abs(x - reference).max() <= 1e-15
 
 
 def test_scvar_solves_the_exact_quadratic_only_for_the_squared_penalty_at_a_zero_tau(monkeypatch):

@@ -73,6 +73,33 @@ def test_panel_validation():
                     asset_returns=bad, asset_names=good.asset_names)
 
 
+def test_panel_errors_name_the_first_offending_day_and_column():
+    good = make_panel()  # days 2021-03-01 .. 2021-03-06, assets a0 and a1
+
+    def build(dates=good.dates, index=good.index_returns, assets=good.asset_returns,
+              names=good.asset_names):
+        return ReturnPanel(dates=dates, index_returns=index, asset_returns=assets,
+                           asset_names=names)
+
+    bad = np.array(good.asset_returns)
+    bad[4, 0] = -2.0
+    bad[2, 1] = -1.0  # the earlier day is reported
+    with pytest.raises(InvalidInputError,
+                       match="^asset 'a1' return on 2021-03-03 must be greater than -1"):
+        build(assets=bad)
+    index = np.array(good.index_returns)
+    index[2] = np.inf  # the same day as a1's error: the index column comes first
+    with pytest.raises(InvalidInputError,
+                       match="^index return on 2021-03-03 must be finite, got inf"):
+        build(index=index, assets=bad)
+    swapped = good.dates[:1] + (good.dates[2], good.dates[1]) + good.dates[3:]
+    with pytest.raises(InvalidInputError, match=(
+            "^dates must be strictly increasing: 2021-03-02 follows 2021-03-03")):
+        build(dates=swapped)
+    with pytest.raises(InvalidInputError, match="'a0' repeats"):
+        build(names=("a0", "a0"))
+
+
 def test_joint_matrix_puts_index_last():
     panel = make_panel(n=5, d=3)
     joint = panel.joint_matrix()
@@ -148,22 +175,27 @@ def write_csv(tmp_path, text):
 def test_load_rejects_malformed_files(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_returns_csv(tmp_path / "missing.csv")
+    # Each malformed file, with what its error must name (None: anything).
     cases = {
-        "empty": "",
-        "bad header": "day,index,a\n2021-01-01,0.0,0.0\n2021-01-02,0.0,0.0\n",
-        "no assets": "date,index\n2021-01-01,0.0\n2021-01-02,0.0\n",
-        "blank name": "date,index,\n2021-01-01,0.0,0.0\n2021-01-02,0.0,0.0\n",
-        "dup names": "date,index,a,a\n2021-01-01,0,0,0\n2021-01-02,0,0,0\n",
-        "field count": "date,index,a\n2021-01-01,0.0\n2021-01-02,0.0,0.0\n",
-        "bad date": "date,index,a\nnot-a-date,0.0,0.0\n2021-01-02,0.0,0.0\n",
-        "date order": "date,index,a\n2021-01-02,0.0,0.0\n2021-01-01,0.0,0.0\n",
-        "bad number": "date,index,a\n2021-01-01,zero,0.0\n2021-01-02,0.0,0.0\n",
-        "non-finite": "date,index,a\n2021-01-01,nan,0.0\n2021-01-02,0.0,0.0\n",
-        "below -1": "date,index,a\n2021-01-01,0.0,-1.5\n2021-01-02,0.0,0.0\n",
-        "one row": "date,index,a\n2021-01-01,0.0,0.0\n",
+        "empty": ("", None),
+        "bad header": ("day,index,a\n2021-01-01,0.0,0.0\n2021-01-02,0.0,0.0\n", None),
+        "no assets": ("date,index\n2021-01-01,0.0\n2021-01-02,0.0\n", None),
+        "blank name": ("date,index,\n2021-01-01,0.0,0.0\n2021-01-02,0.0,0.0\n", None),
+        "dup names": ("date,index,a,a\n2021-01-01,0,0,0\n2021-01-02,0,0,0\n", None),
+        "field count": ("date,index,a\n2021-01-01,0.0\n2021-01-02,0.0,0.0\n", None),
+        "bad date": ("date,index,a\nnot-a-date,0.0,0.0\n2021-01-02,0.0,0.0\n", None),
+        "date order": ("date,index,a\n2021-01-02,0.0,0.0\n2021-01-01,0.0,0.0\n",
+                       "2021-01-01 follows 2021-01-02"),
+        "bad number": ("date,index,a\n2021-01-01,zero,0.0\n2021-01-02,0.0,0.0\n", None),
+        "non-finite": ("date,index,a\n2021-01-01,nan,0.0\n2021-01-02,0.0,0.0\n",
+                       "index return on 2021-01-01 must be finite"),
+        "below -1": ("date,index,a\n2021-01-01,0.0,-1.5\n2021-01-02,0.0,0.0\n",
+                     "asset 'a' return on 2021-01-01 must be greater than -1"),
+        "one row": ("date,index,a\n2021-01-01,0.0,0.0\n", None),
+        "header only": ("date,index,a\n", "at least 2 days, got 0"),
     }
-    for label, text in cases.items():
-        with pytest.raises(DataError):
+    for label, (text, pattern) in cases.items():
+        with pytest.raises(DataError, match=pattern):
             load_returns_csv(write_csv(tmp_path, text))
 
 

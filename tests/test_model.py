@@ -96,8 +96,9 @@ def test_discrete_distribution_validation():
         DiscreteDistribution(weights=np.array([1.2, -0.2]))
     uniform = DiscreteDistribution.uniform(4)
     assert np.allclose(uniform.weights, 0.25)
-    with pytest.raises(InvalidInputError):
-        DiscreteDistribution.uniform(0)
+    for n in (0, 2.5, True):
+        with pytest.raises(InvalidInputError, match="^n must be an integer"):
+            DiscreteDistribution.uniform(n)
 
 
 def test_dual_point_roundtrip_and_validation():

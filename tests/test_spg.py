@@ -9,10 +9,12 @@ from drtrack import spg as spg_module
 from drtrack.errors import InvalidInputError, NumericalError
 from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
 from drtrack.model import AmbiguityParams, DualPoint, ModelParams, SampleSet, evaluate_phi_n, var_threshold
+from drtrack.projections import project_feasible
 from drtrack.smoothing import grad_smooth_phi
 from drtrack.spg import (
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
+    STATUS_STALLED,
     SpgParams,
     _residual,
     _search_exponent,
@@ -100,6 +102,21 @@ def test_spg_outer_iteration_cap_reported():
     assert res.status == STATUS_ITERATION_CAP
     assert res.outer_iters == 3
     assert np.isfinite(res.residual)
+
+
+def test_spg_stalls_after_three_failed_line_searches(monkeypatch):
+    # an Armijo constant no trial can meet: every phase's search fails after
+    # all 61 exponents, and the third failure in a row ends the run
+    monkeypatch.setattr(spg_module, "_SIGMA", 1e300)
+    samples, amb, model = tracking_instance(0)
+    start = vertex_start(3)
+    res = spg_solve(start, samples, amb, model, SpgParams(max_outer_iters=50))
+    assert res.status == STATUS_STALLED
+    assert (res.outer_iters, res.inner_iters, res.trials, res.grad_evals) == (3, 0, 183, 4)
+    # no step was taken, so the result is the projected start
+    projected = project_feasible(start)
+    assert np.array_equal(res.nu.to_array(), projected.to_array())
+    assert res.objective == evaluate_phi_n(projected, samples, amb, model)[0]
 
 
 def test_spg_inner_cap_bounds_phase_length():
