@@ -46,6 +46,12 @@ _THRESHOLD_TOLERANCE = 1e-12
 _THRESHOLD_STEPS = 64
 # Each iteration lowers the Lipschitz estimate by this factor before backtracking.
 _LIPSCHITZ_DECAY = 0.8
+# With the squared penalty, mu starts at this fraction of the start's loss spread
+# and halves once the surrogate's Frank-Wolfe gap is within this many smoothing
+# margins.  The absolute penalty keeps 1 and 1: there the smoothed |c| sets the
+# surrogate's curvature (1/mu), and the sharper schedule took 1.7 times the iterations.
+_MU_START_SQUARED = 0.1
+_SHARPEN_MARGINS_SQUARED = 4.0
 # The active set (te_l2_solve, and scvar_solve's exact quadratic) stops once
 # its Frank-Wolfe gap is at most this times the data scale mean(xi_a**2) + trace(G).
 TE_L2_GAP = 1e-12
@@ -176,8 +182,8 @@ def scvar_solve(
     plus-parts and ``|c|`` smoothed at a level ``mu`` in return units
     and the threshold minimised exactly; with no CVaR weight the
     threshold enters neither, and is not solved for.  ``mu`` halves
-    once the surrogate's Frank-Wolfe gap falls under its smoothing
-    margin.  Upper bound: the exact objective, threshold at the
+    once the surrogate's Frank-Wolfe gap falls under a few smoothing
+    margins.  Upper bound: the exact objective, threshold at the
     loss quantile (Rockafellar & Uryasev 2000), taken from the losses the
     surrogate formed, so each evaluated point costs one product with the
     samples.  Lower bound: the Fenchel dual bound (:func:`_fenchel_bound`)
@@ -198,7 +204,11 @@ def scvar_solve(
     Stops ``converged`` once the gap of :class:`ScvarResult` is at most
     :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
     ``params.max_iters`` iterations.  The first threshold, upper bound
-    and ``mu`` come from the start's losses.  When the next extrapolated
+    and ``mu`` come from the start's losses: ``mu`` starts at their
+    standard deviation and halves within one margin, or with the squared
+    penalty at a tenth of it and within four (:data:`_MU_START_SQUARED`,
+    :data:`_SHARPEN_MARGINS_SQUARED`); the first Lipschitz estimate is
+    taken at the standard deviation either way.  When the next extrapolated
     point is the accepted one at the same ``mu`` (after a restart, or a
     first momentum step, whose coefficient is 0), its surrogate is
     reused, so each point is evaluated once.
@@ -213,12 +223,18 @@ def scvar_solve(
     y = best_x = x
     alpha = best_alpha = var_threshold(x, samples, beta)
     upper, lower = scvar_objective(x, alpha, samples, model), -math.inf
-    # mu starts at the spread of the start's losses (1 if they are all equal);
-    # the surrogate exceeds the objective by at most margin_rate * mu.
-    mu = float(np.std(xi_b @ x)) or 1.0
-    margin_rate = coef * math.log(2.0) + (model.psi is PsiKind.ABSOLUTE)
-    # Lipschitz estimate: the trace of a Hessian bound (0 only if the gradient is).
-    curvature = (2.0 if model.psi is PsiKind.SQUARED else 1.0 / mu) + coef / (4.0 * mu)
+    # mu starts at a fraction of the spread of the start's losses (1 if they are
+    # all equal); the surrogate exceeds the objective by at most margin_rate * mu.
+    squared = model.psi is PsiKind.SQUARED
+    mu_start, sharpen = (_MU_START_SQUARED, _SHARPEN_MARGINS_SQUARED) if squared else (1.0, 1.0)
+    spread = float(np.std(xi_b @ x)) or 1.0
+    mu = mu_start * spread
+    margin_rate = coef * math.log(2.0) + (not squared)
+    # Lipschitz estimate: the trace of a Hessian bound at mu = spread (0 only if
+    # the gradient is).  Taken at the smaller mu it would be up to 1 / mu_start
+    # times larger, and the first steps that much shorter; backtracking raises
+    # it where the sharper surrogate needs more.
+    curvature = (2.0 if squared else 1.0 / spread) + coef / (4.0 * spread)
     power = float(np.sum(np.square(xi_b))) / n  # trace(xi_b'xi_b) / N
     lipschitz = (power * curvature + 2.0 * tau1) or 1.0
     # Differences under the active set's tolerance are rounding, so an optimum
@@ -230,7 +246,7 @@ def scvar_solve(
     reach = a_hi - a_lo
     # The exact quadratic bound's data, and its warm start, when it runs.
     kkt = None
-    if model.psi is PsiKind.SQUARED and (tau1 == 0.0 or tau2 == 0.0):
+    if squared and (tau1 == 0.0 or tau2 == 0.0):
         kkt, b, qp_tol = _tracking_qp(xi_b, xi_a, tau1)
         qp_x = x
 
@@ -302,7 +318,7 @@ def scvar_solve(
         # The surrogate's Frank-Wolfe gap over the simplex and the alphas in reach.
         fw_gap = float(g_new @ x_new - g_new.min()) + abs(galpha) * reach
         at_y = f_new, g_new
-        if fw_gap <= margin_rate * mu and (0.5 * mu) ** 2 > 0.0:
+        if fw_gap <= sharpen * margin_rate * mu and (0.5 * mu) ** 2 > 0.0:
             # The margin dominates: sharpen while mu**2 stays positive, and
             # restart with no surrogate value at the new level yet.
             mu, y, t, f_new, at_y = 0.5 * mu, x_new, 1.0, math.inf, None

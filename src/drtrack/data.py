@@ -10,6 +10,7 @@ on positive definiteness.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -31,6 +32,10 @@ __all__ = [
     "estimate_moments",
     "build_sample_set",
 ]
+
+# The one date form the CSV accepts; date.fromisoformat alone also takes the
+# basic and week forms (20210101, 2021-W01-2) from Python 3.11 on.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Covariance repair: trigger when the smallest eigenvalue falls below
 # EIG_TOL times the mean diagonal scale, then add JITTER_SCALE times
@@ -252,6 +257,8 @@ def load_returns_csv(path) -> ReturnPanel:
                     f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
                 )
             try:
+                if not _ISO_DATE.fullmatch(row[0]):
+                    raise ValueError
                 dates.append(date.fromisoformat(row[0]))
             except ValueError:
                 raise DataError(

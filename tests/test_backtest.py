@@ -393,6 +393,27 @@ def test_warm_scvar_windows_agree_with_cold_fits_within_the_certificate(model_id
                     assert distance <= 2.0 * np.sqrt(GAP_TOLERANCE * f / tau1)
 
 
+def test_warm_scvar_l2_windows_certify_in_few_iterations():
+    # 36 warm-chained windows; smoothing from the full loss spread and
+    # sharpening within one margin took 148 iterations here
+    total = 0
+    for seed in (2001, 2002, 2003):
+        panel = gen_synthetic(8, 313, seed)
+        for tau1 in (0.0, 2e-4):
+            for tau2 in (0.0, 2e-4):
+                config = BacktestConfig(
+                    model_id="scvar-l2",
+                    model=ModelParams(tau1=tau1, tau2=tau2),
+                    window=250,
+                    hold=21,
+                )
+                report = run_backtest(panel, config)
+                assert report.t_bar == 3
+                assert all(w.status == "converged" for w in report.windows)
+                total += sum(w.iters for w in report.windows)
+    assert total <= 120
+
+
 def test_grid_search_tie_break_and_custom_grids():
     # one asset: every grid point fits x = (1,), so TEO ties everywhere
     panel = gen_synthetic(d=1, n_days=60, seed=1)

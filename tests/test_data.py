@@ -184,6 +184,11 @@ def test_load_rejects_malformed_files(tmp_path):
         "dup names": ("date,index,a,a\n2021-01-01,0,0,0\n2021-01-02,0,0,0\n", None),
         "field count": ("date,index,a\n2021-01-01,0.0\n2021-01-02,0.0,0.0\n", None),
         "bad date": ("date,index,a\nnot-a-date,0.0,0.0\n2021-01-02,0.0,0.0\n", None),
+        # Python 3.11's date.fromisoformat reads these as 2021-01-01 and 2021-01-05
+        "basic date": ("date,index,a\n20210101,0.0,0.0\n2021-01-06,0.0,0.0\n",
+                       "row 2 column 'date'"),
+        "week date": ("date,index,a\n2021-W01-2,0.0,0.0\n2021-01-06,0.0,0.0\n",
+                      "row 2 column 'date'"),
         "date order": ("date,index,a\n2021-01-02,0.0,0.0\n2021-01-01,0.0,0.0\n",
                        "2021-01-01 follows 2021-01-02"),
         "bad number": ("date,index,a\n2021-01-01,zero,0.0\n2021-01-02,0.0,0.0\n", None),
