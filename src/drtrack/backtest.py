@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import BaselineParams, ScvarResult, scvar_solve, te_l2_solve
+from .baselines import BaselineParams, scvar_solve, te_l2_solve
 from .data import ReturnPanel, build_sample_set, estimate_moments
 from .errors import DrTrackError, InvalidInputError
 from .model import AmbiguityParams, ModelParams, PsiKind, _check_budget
@@ -25,7 +25,6 @@ from .spg import (
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
     STATUS_STALLED,
-    SolveResult,
     SpgParams,
     default_start,
     spg_solve,
@@ -58,9 +57,11 @@ MODEL_IDS = ("drcvar-l2", "drcvar-l1", "scvar-l2", "scvar-l1", "te-l2")
 # values, written as literals so the enumeration is exact.
 TAU_GRID = (0.0, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3)
 
-# The SolveResult counters that a drcvar-* fit reports, in a backtest
-# window and in ``drtrack solve``.
-_SPG_COUNTERS = ("outer_iters", "grad_evals", "trials", "residual", "mu_final")
+# The SolveResult counts of a drcvar-* fit besides its objective and
+# status: a ModelFit's counters, null in the JSON of the other models.
+_SPG_COUNTERS = (
+    "smooth_objective", "inner_iters", "outer_iters", "grad_evals", "trials", "residual", "mu_final"
+)
 
 
 @dataclass(frozen=True)
@@ -91,28 +92,51 @@ class BacktestConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class WindowResult:
-    """Fitted weights and accounting for one rolling window.
+class ModelFit:
+    """One fit of any model, as :func:`solve_model` returns it.
 
-    ``solve_seconds`` is the fit's :attr:`ModelFit.seconds` and
-    ``iters`` its :attr:`ModelFit.iters`.  ``outer_iters``,
-    ``grad_evals``, ``trials``, ``residual`` and ``mu_final`` are those
-    of the :class:`SolveResult` of a ``drcvar-*`` fit, and None for the
-    other models.  ``report_to_dict`` writes one JSON entry per window
-    with exactly these fields.
+    ``objective`` is the exact (dual, for ``drcvar-*``) objective at
+    ``weights`` and ``alpha`` the CVaR threshold, None for ``te-l2``.
+    ``lower_bound`` and ``gap`` certify it as in :class:`BaselineResult`,
+    and are None for ``drcvar-*``, whose fits carry no bound yet.
+    ``iters`` counts the ``scvar-*`` or the SPG inner iterations (None for
+    ``te-l2``), and ``counters`` holds the :data:`_SPG_COUNTERS` of a
+    ``drcvar-*`` fit, empty otherwise.  ``solve_seconds`` is the wall time
+    of :func:`solve_model`, from building the samples to the solver's end,
+    and ``trace`` the solver's trace, if one was recorded.
     """
 
-    t: int
     weights: np.ndarray
-    solve_seconds: float
-    portfolio_gross_return: float
     status: str
+    objective: float
+    alpha: float | None
+    lower_bound: float | None
+    gap: float | None
     iters: int | None
-    outer_iters: int | None = None
-    grad_evals: int | None = None
-    trials: int | None = None
-    residual: float | None = None
-    mu_final: float | None = None
+    counters: dict[str, float]
+    solve_seconds: float
+    trace: tuple[tuple[float, float], ...] | None
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields, weights rounded to 12 significant digits.
+
+        ``counters`` are written as keys of their own, every name of
+        :data:`_SPG_COUNTERS` present (null unless ``drcvar-*``), and
+        ``trace`` is left out.
+        """
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        del doc["counters"], doc["trace"]
+        doc["weights"] = [float(f"{v:.12g}") for v in self.weights]
+        return doc | dict.fromkeys(_SPG_COUNTERS) | self.counters
+
+
+@dataclass(frozen=True, eq=False)
+class WindowResult(ModelFit):
+    """The fit of rolling window ``t`` (1-based) and its portfolio's
+    gross return over the window's hold period."""
+
+    t: int
+    portfolio_gross_return: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,25 +168,6 @@ class BacktestReport:
         for w in self.windows:
             counts[w.status] = counts.get(w.status, 0) + 1
         return counts
-
-
-class ModelFit(NamedTuple):
-    """Weights, status, objective and iterations of one fit, with the
-    solver's own result and the fit's wall time.
-
-    ``result`` is the :class:`SolveResult` of ``drcvar-*``, whose
-    ``inner_iters`` are the ``iters``, the :class:`ScvarResult` of
-    ``scvar-*``, or None for ``te-l2``, whose ``iters`` are None too.
-    ``seconds`` is the wall time of :func:`solve_model`, from building
-    the samples to the end of the solver run.
-    """
-
-    x: np.ndarray
-    status: str
-    objective: float
-    iters: int | None
-    result: SolveResult | ScvarResult | None
-    seconds: float
 
 
 class Performance(NamedTuple):
@@ -309,7 +314,7 @@ def solve_model(
     ``scvar-*`` :func:`scvar_solve` from ``x0`` (uniform weights if
     None) and ``te-l2`` :func:`te_l2_solve`, which records no trace.
     Only ``scvar-*`` takes an ``x0``.  The fit times itself: its
-    ``seconds`` run from building the samples to the solver's end.
+    ``solve_seconds`` run from building the samples to the solver's end.
     """
     model = config.model
     if x0 is not None and not config.model_id.startswith("scvar"):
@@ -327,14 +332,19 @@ def solve_model(
         result = spg_solve(
             default_start(samples, model), samples, amb, model, config.spg, record_trace
         )
-        fit = (result.nu.x, result.status, result.objective, result.inner_iters, result)
-    elif config.model_id.startswith("scvar"):
-        result = scvar_solve(samples, model, config.baseline, record_trace, x0=x0)
-        fit = (result.x, result.status, result.objective, result.iters, result)
+        counters = {name: getattr(result, name) for name in _SPG_COUNTERS}
+        own = dict(weights=result.nu.x, alpha=result.nu.alpha, lower_bound=None, gap=None,
+                   iters=result.inner_iters, counters=counters)
     else:
-        x, objective, status = te_l2_solve(samples, model.tau1)
-        fit = (x, status, objective, None, None)
-    return ModelFit(*fit, time.perf_counter() - begin)
+        if config.model_id.startswith("scvar"):
+            result = scvar_solve(samples, model, config.baseline, record_trace, x0=x0)
+        else:
+            result = te_l2_solve(samples, model.tau1)
+        own = dict(weights=result.x, alpha=result.alpha, lower_bound=result.lower_bound,
+                   gap=result.gap, iters=result.iters, counters={})
+    seconds = time.perf_counter() - begin
+    return ModelFit(status=result.status, objective=result.objective, solve_seconds=seconds,
+                    trace=result.trace, **own)
 
 
 # Panel and config of the backtest whose windows this worker process
@@ -349,11 +359,8 @@ def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> 
         fit = solve_model(panel, start, start + config.window, config, x0=x0)
     except DrTrackError as exc:
         raise type(exc)(f"window {t}: {exc}") from exc
-    counters = {}
-    if isinstance(fit.result, SolveResult):
-        counters = {name: getattr(fit.result, name) for name in _SPG_COUNTERS}
-    gross = float(_hold_gross(panel.asset_returns, config, t - 1) @ fit.x)
-    return WindowResult(t, fit.x, fit.seconds, gross, fit.status, fit.iters, **counters)
+    gross = float(_hold_gross(panel.asset_returns, config, t - 1) @ fit.weights)
+    return WindowResult(**vars(fit), t=t, portfolio_gross_return=gross)
 
 
 def _init_worker(panel: ReturnPanel, config: BacktestConfig) -> None:
@@ -500,16 +507,11 @@ def grid_search(
     return GridSearchResult(rows=tuple(rows), best=best)
 
 
-def _round_sig(value: float) -> float:
-    return float(f"{value:.12g}")
-
-
 def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
     """JSON-ready document for one backtest report.
 
-    Each window's entry holds the fields of its :class:`WindowResult`.
-    Weights are rounded to 12 significant digits; undefined metrics
-    serialise as null.
+    Each window's entry is its :meth:`WindowResult.to_dict`.  Undefined
+    metrics serialise as null.
     """
     return {
         "model": report.model_id,
@@ -525,9 +527,5 @@ def report_to_dict(report: BacktestReport, config: BacktestConfig) -> dict:
         "turnover": report.turnover,
         "cpu_seconds": report.cpu_seconds,
         "status_counts": report.status_counts,
-        "per_window": [
-            {f.name: getattr(w, f.name) for f in fields(WindowResult)}
-            | {"weights": [_round_sig(v) for v in w.weights]}
-            for w in report.windows
-        ],
+        "per_window": [w.to_dict() for w in report.windows],
     }

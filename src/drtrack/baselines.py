@@ -33,13 +33,13 @@ from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 __all__ = [
     "BaselineParams",
-    "ScvarResult",
+    "BaselineResult",
     "scvar_objective",
     "scvar_solve",
     "te_l2_solve",
 ]
 
-# scvar_solve stops converged once its relative gap (ScvarResult.gap) is at most this.
+# scvar_solve stops converged once its relative gap (BaselineResult.gap) is at most this.
 GAP_TOLERANCE = 1e-3
 # Newton on the smoothed threshold stops at this residual or this many steps.
 _THRESHOLD_TOLERANCE = 1e-12
@@ -68,11 +68,13 @@ class BaselineParams:
 
 
 @dataclass(frozen=True)
-class ScvarResult:
-    """Best iterate of the CVaR solver, ``alpha`` its loss quantile.
+class BaselineResult:
+    """Best iterate of a baseline solver, with its certificate.
 
-    ``gap`` is ``(objective - lower_bound) / max(|objective|, floor)``, the
-    floor :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)`` over
+    ``alpha`` is the CVaR threshold at its loss quantile and ``iters``
+    the iterations, both None for :func:`te_l2_solve`.  ``gap`` is
+    ``(objective - lower_bound) / max(|objective|, floor)``, the floor
+    :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)`` over
     :data:`GAP_TOLERANCE` (see :func:`te_l2_solve`).  ``trace``, if
     requested, holds ``(cpu_seconds, best objective so far)`` per iteration,
     where ``cpu_seconds`` is the wall time since the solve started
@@ -80,12 +82,12 @@ class ScvarResult:
     """
 
     x: np.ndarray
-    alpha: float
     objective: float
     lower_bound: float
     gap: float
-    iters: int
     status: str
+    alpha: float | None = None
+    iters: int | None = None
     trace: tuple[tuple[float, float], ...] | None = None
 
 
@@ -173,7 +175,7 @@ def scvar_solve(
     params: BaselineParams = BaselineParams(),
     record_trace: bool = False,
     x0=None,
-) -> ScvarResult:
+) -> BaselineResult:
     """Certified minimisation of the sample-average CVaR objective.
 
     FISTA from ``x0`` projected onto the simplex (uniform weights if
@@ -201,7 +203,7 @@ def scvar_solve(
     quantile, is a second candidate for the upper bound; the FISTA
     iterates are the same on both paths.
 
-    Stops ``converged`` once the gap of :class:`ScvarResult` is at most
+    Stops ``converged`` once the gap of :class:`BaselineResult` is at most
     :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
     ``params.max_iters`` iterations.  The first threshold, upper bound
     and ``mu`` come from the start's losses: ``mu`` starts at their
@@ -333,7 +335,7 @@ def scvar_solve(
                 y = x_new
             t = t_next
         x, fx, alpha = x_new, f_new, alpha_new
-    return ScvarResult(
+    return BaselineResult(
         x=best_x,
         alpha=best_alpha,
         objective=float(upper),
@@ -345,15 +347,15 @@ def scvar_solve(
     )
 
 
-def te_l2_solve(samples: SampleSet, tau1: float) -> tuple[np.ndarray, float, str]:
+def te_l2_solve(samples: SampleSet, tau1: float) -> BaselineResult:
     """Least-squares tracker with ridge term over the simplex, solved exactly.
 
     Minimises ``mean((xi_a - xi_b @ x)^2) + tau1 * ||x||^2``, that is
     ``x'Gx - 2b'x`` for ``G = xi_b'xi_b / N + tau1 I`` and ``b = xi_b'xi_a / N``,
-    by :func:`_simplex_qp` from uniform weights.  Returns the weights, the
-    objective from the residuals and ``converged`` iff the Frank-Wolfe gap
-    ``g'x - min(g)``, ``g = 2(Gx - b)``, is at most :data:`TE_L2_GAP` times
-    ``mean(xi_a^2) + trace(G)``.
+    by :func:`_simplex_qp` from uniform weights.  The objective, from the
+    residuals, less the Frank-Wolfe gap ``g'x - min(g)``, ``g = 2(Gx - b)``,
+    is a lower bound, since the objective is convex; ``converged`` means that
+    gap is at most :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)``.
     """
     tau1 = _finite_float(tau1, "tau1")
     if tau1 < 0.0:
@@ -362,8 +364,12 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> tuple[np.ndarray, float, str
     kkt, b, tol = _tracking_qp(xb, xa, tau1)
     x, g = _simplex_qp(kkt, b, np.full(d, 1.0 / d), tol)
     r = xa - xb @ x
-    status = STATUS_CONVERGED if float(g @ x - g.min()) <= tol else STATUS_ITERATION_CAP
-    return x, float(r @ r) / n + tau1 * float(x @ x), status
+    objective = float(r @ r) / n + tau1 * float(x @ x)
+    fw_gap = float(g @ x - g.min())
+    lower = objective - max(fw_gap, 0.0)
+    gap = (objective - lower) / max(abs(objective), tol / GAP_TOLERANCE, math.ulp(0.0))
+    status = STATUS_CONVERGED if fw_gap <= tol else STATUS_ITERATION_CAP
+    return BaselineResult(x, objective, lower, gap, status)
 
 
 def _tracking_qp(xi_b: np.ndarray, xi_a: np.ndarray, tau1: float):

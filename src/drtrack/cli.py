@@ -25,20 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from .backtest import (
-    _SPG_COUNTERS,
     MODEL_IDS,
     BacktestConfig,
-    _round_sig,
     grid_search,
     report_to_dict,
     run_backtest,
     solve_model,
 )
-from .baselines import BaselineParams, ScvarResult
+from .baselines import BaselineParams
 from .data import gen_synthetic, load_returns_csv, save_returns_csv
 from .errors import DataError, InvalidInputError, NumericalError
 from .model import ModelParams
-from .spg import STATUS_CONVERGED, SolveResult, SpgParams
+from .spg import STATUS_CONVERGED, SpgParams
 
 # perfbench/layers.py wraps these names on this module to trace the
 # calls made through it; the solvers themselves run in ``solve_model``.
@@ -177,21 +175,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if want_trace and args.model == "te-l2":
         raise InvalidInputError("--trace-out is not available for te-l2")
     fit = solve_model(panel, start, stop, config, record_trace=want_trace)
-    result = fit.result
-    doc = {
-        "model": args.model,
-        "status": fit.status,
-        "objective": fit.objective,
-        "wall_seconds": fit.seconds,
-        "weights": [_round_sig(v) for v in fit.x],
-    }
-    if isinstance(result, SolveResult):
-        names = ("smooth_objective", "inner_iters", *_SPG_COUNTERS)
-        doc.update({k: getattr(result, k) for k in names}, alpha=result.nu.alpha)
-    elif isinstance(result, ScvarResult):
-        doc.update({k: getattr(result, k) for k in ("iters", "alpha", "lower_bound", "gap")})
-    if want_trace and result.trace is not None:
-        _write_trace(args.trace_out, result.trace)
+    doc = fit.to_dict()
+    doc = {"model": args.model, "wall_seconds": doc.pop("solve_seconds")} | doc
+    if fit.trace is not None:
+        _write_trace(args.trace_out, fit.trace)
     _emit_json(doc, args.out)
     if args.strict and fit.status != STATUS_CONVERGED:
         print(f"solver did not converge: status={fit.status}", file=sys.stderr)

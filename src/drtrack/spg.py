@@ -145,7 +145,6 @@ class SolveResult:
     inner_iters: int
     grad_evals: int
     trials: int
-    wall_seconds: float
     status: str
     trace: tuple[tuple[float, float], ...] | None = None
     phase_objectives: tuple[tuple[float, ...], ...] | None = None
@@ -409,7 +408,6 @@ def spg_solve(
         inner_iters=inner_total,
         grad_evals=grad_evals,
         trials=trials,
-        wall_seconds=time.perf_counter() - start_time,
         status=status,
         trace=tuple(trace) if trace is not None else None,
         phase_objectives=tuple(phases) if phases is not None else None,

@@ -259,12 +259,9 @@ def test_run_backtest_covers_solver_paths():
     # the solver's counters
     last = solve_model(panel, 15, 35, drcvar)
     w = report.windows[1]
-    assert np.array_equal(w.weights, last.x)
-    assert w.iters == last.iters == last.result.inner_iters > 0
-    r = last.result
-    assert (w.outer_iters, w.grad_evals, w.trials, w.residual, w.mu_final) == (
-        r.outer_iters, r.grad_evals, r.trials, r.residual, r.mu_final
-    )
+    assert np.array_equal(w.weights, last.weights)
+    assert w.iters == last.iters == last.counters["inner_iters"] > 0
+    assert w.counters == last.counters
     with pytest.raises(InvalidInputError, match="x0"):
         solve_model(panel, 15, 35, drcvar, x0=report.windows[0].weights)
     scvar = BacktestConfig(
@@ -277,10 +274,7 @@ def test_run_backtest_covers_solver_paths():
     report = run_backtest(panel, scvar)
     assert report.t_bar == 2 and report.model_id == "scvar-l1"
     assert all(w.iters > 0 for w in report.windows)
-    assert all(
-        (w.outer_iters, w.grad_evals, w.trials, w.residual, w.mu_final) == (None,) * 5
-        for w in report.windows
-    )
+    assert all(w.counters == {} for w in report.windows)
 
 
 def capped_drcvar(model_id):
@@ -303,9 +297,7 @@ def assert_same_fits(a, b):
         assert (wa.t, wa.status, wa.iters, wa.portfolio_gross_return) == (
             wb.t, wb.status, wb.iters, wb.portfolio_gross_return
         )
-        assert (wa.outer_iters, wa.grad_evals, wa.trials, wa.residual, wa.mu_final) == (
-            wb.outer_iters, wb.grad_evals, wb.trials, wb.residual, wb.mu_final
-        )
+        assert wa.counters == wb.counters
 
 
 @pytest.mark.parametrize("model_id", ["drcvar-l2", "drcvar-l1"])
@@ -375,21 +367,21 @@ def test_warm_scvar_windows_agree_with_cold_fits_within_the_certificate(model_id
             assert report.t_bar == 3
             first = report.windows[0]
             cold = solve_model(panel, 0, 250, config)
-            assert np.array_equal(first.weights, cold.x)
-            assert (first.status, first.iters) == (cold.status, cold.result.iters)
+            assert np.array_equal(first.weights, cold.weights)
+            assert (first.status, first.iters) == (cold.status, cold.iters)
             for prev, w in zip(report.windows, report.windows[1:]):
                 start = (w.t - 1) * config.hold
                 stop = start + config.window
                 warm = solve_model(panel, start, stop, config, x0=prev.weights)
                 cold = solve_model(panel, start, stop, config)
-                assert np.array_equal(w.weights, warm.x) and w.iters == warm.iters
+                assert np.array_equal(w.weights, warm.weights) and w.iters == warm.iters
                 assert w.status == warm.status == "converged"
                 f = max(abs(warm.objective), abs(cold.objective))
                 assert abs(warm.objective - cold.objective) <= GAP_TOLERANCE * f
                 if tau1 > 0.0:
                     # f(x) - f* >= tau1 ||x - x*||^2, and each fit is within
                     # GAP_TOLERANCE * f of the optimum
-                    distance = float(np.linalg.norm(warm.x - cold.x))
+                    distance = float(np.linalg.norm(warm.weights - cold.weights))
                     assert distance <= 2.0 * np.sqrt(GAP_TOLERANCE * f / tau1)
 
 
@@ -455,13 +447,17 @@ def test_report_to_dict_schema_and_rounding():
         assert set(row) == {
             "t", "weights", "solve_seconds", "portfolio_gross_return", "status", "iters",
             "outer_iters", "grad_evals", "trials", "residual", "mu_final",
+            "objective", "alpha", "lower_bound", "gap", "smooth_objective", "inner_iters",
         }
         assert row["iters"] is None
         assert row["outer_iters"] is row["grad_evals"] is row["trials"] is None
         assert row["residual"] is row["mu_final"] is None
+        assert row["alpha"] is row["smooth_objective"] is row["inner_iters"] is None
         assert row["weights"] == [float(f"{v:.12g}") for v in window.weights]
-    # every model's windows serialise as their WindowResult fields
-    field_names = {f.name for f in dataclasses.fields(WindowResult)}
+    # every model's windows serialise as their WindowResult fields, the
+    # counters flattened and the trace left out
+    field_names = {f.name for f in dataclasses.fields(WindowResult)} - {"counters", "trace"}
+    field_names |= set(backtest._SPG_COUNTERS)
     scvar = BacktestConfig("scvar-l2", MODEL, window=30, hold=10)
     for cfg in (config, capped_drcvar("drcvar-l2"), scvar):
         report = run_backtest(panel, cfg)

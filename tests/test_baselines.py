@@ -286,11 +286,13 @@ def test_scvar_with_zero_cvar_weight_matches_te_l2():
     samples, _, model = gaussian_instance(8, d=3, n=30, scale=0.01,
                                           tau1=1e-3, tau2=0.0, beta=0.9)
     sub = scvar_solve(samples, model, BaselineParams(max_iters=20_000))
-    x_pg, f_pg, _ = te_l2_solve(samples, model.tau1)
+    te = te_l2_solve(samples, model.tau1)
+    f_pg = te.objective
     assert sub.status == STATUS_CONVERGED
     assert sub.objective == pytest.approx(f_pg, rel=1e-10, abs=0.0)
     assert sub.gap <= 1e-10
     assert sub.lower_bound <= f_pg
+    assert te.lower_bound <= sub.objective
 
 
 def test_scvar_certifies_a_tight_gap_without_a_ridge(monkeypatch):
@@ -477,7 +479,8 @@ def test_scvar_lower_bound_holds_with_an_unsolved_threshold(monkeypatch, psi):
 def test_te_l2_matches_dense_scan_in_two_dimensions():
     samples, _, _ = gaussian_instance(9, d=2, n=40, scale=0.02)
     for tau1 in (0.0, 1e-3):
-        x, value, _ = te_l2_solve(samples, tau1)
+        res = te_l2_solve(samples, tau1)
+        x, value = res.x, res.objective
         assert x.shape == (2,) and x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
         weights = np.linspace(0.0, 1.0, 20_001)
@@ -487,6 +490,7 @@ def test_te_l2_matches_dense_scan_in_two_dimensions():
         )
         scan = np.square(residual).mean(axis=0)
         scan = scan + tau1 * (np.square(weights) + np.square(1.0 - weights))
+        assert res.lower_bound <= float(scan.min())
         assert value <= float(scan.min()) + 1e-10
 
 
@@ -496,7 +500,8 @@ def test_te_l2_perfect_replication_is_exact():
     index = rng.normal(0.0, 0.01, 60)
     other = rng.normal(0.0, 0.01, 60)
     samples = SampleSet(samples=np.column_stack([index, other, index]))
-    x, value, _ = te_l2_solve(samples, 0.0)
+    res = te_l2_solve(samples, 0.0)
+    x, value = res.x, res.objective
     assert value <= 1e-12
     assert x[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -505,11 +510,13 @@ def test_te_l2_weights_are_invariant_under_return_scaling():
     # returns scaled by s and tau1 by s**2 scale the objective by s**2
     samples, _, _ = gaussian_instance(21, d=5, n=80, scale=0.01)
     for tau1 in (0.0, 1e-3):
-        x, value, _ = te_l2_solve(samples, tau1)
+        res = te_l2_solve(samples, tau1)
+        x, value = res.x, res.objective
         for s in (1e-50, 1e-2, 1e2, 1e50):
             scaled = SampleSet(samples=s * samples.samples)
-            x_s, value_s, status = te_l2_solve(scaled, s * s * tau1)
-            assert status == STATUS_CONVERGED
+            res_s = te_l2_solve(scaled, s * s * tau1)
+            x_s, value_s = res_s.x, res_s.objective
+            assert res_s.status == STATUS_CONVERGED
             assert np.abs(x_s - x).max() <= 1e-12
             assert value_s == pytest.approx(s * s * value, rel=1e-12)
 
@@ -522,19 +529,18 @@ def test_te_l2_validation():
 
 def test_te_l2_status_comes_from_its_gap_test(monkeypatch):
     samples, _, _ = gaussian_instance(11, d=3, n=30, scale=0.01)
-    _, _, status = te_l2_solve(samples, 1e-3)
-    assert status == STATUS_CONVERGED
+    assert te_l2_solve(samples, 1e-3).status == STATUS_CONVERGED
     monkeypatch.setattr(baselines, "TE_L2_GAP", -1.0)
-    _, _, status = te_l2_solve(samples, 0.0)
-    assert status == STATUS_ITERATION_CAP
+    assert te_l2_solve(samples, 0.0).status == STATUS_ITERATION_CAP
 
 
 def test_te_l2_certifies_a_panel_with_nearly_as_many_assets_as_days():
     # 100 assets on 500 days with no ridge: the Frank-Wolfe gap, recomputed
     # from the Gram matrix, is within 1e-12 of the data scale
     samples = build_sample_set(gen_synthetic(100, 500, 0), 0, 500)
-    x, value, status = te_l2_solve(samples, 0.0)
-    assert status == STATUS_CONVERGED
+    res = te_l2_solve(samples, 0.0)
+    x, value = res.x, res.objective
+    assert res.status == STATUS_CONVERGED
     assert x.min() >= 0.0 and x.sum() == pytest.approx(1.0, abs=1e-12)
     xb, xa, n = samples.xi_b, samples.xi_a, samples.n_samples
     gram = xb.T @ xb / n
@@ -563,8 +569,9 @@ def _one_asset():
 def test_te_l2_is_certified_on_degenerate_inputs(panel):
     # a singular Gram matrix with no ridge, or a single asset
     samples = SampleSet(samples=panel())
-    x, value, status = te_l2_solve(samples, 0.0)
-    assert status == STATUS_CONVERGED
+    res = te_l2_solve(samples, 0.0)
+    x, value = res.x, res.objective
+    assert res.status == STATUS_CONVERGED
     assert x.min() >= 0.0
     assert abs(x.sum() - 1.0) <= 1e-15
     residual = samples.xi_a - samples.xi_b @ x
