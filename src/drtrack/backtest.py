@@ -176,10 +176,6 @@ class Performance(NamedTuple):
     turnover: float | None
 
 
-def _t_bar(n_days: int, window: int, hold: int) -> int:
-    return (n_days - window) // hold
-
-
 def transition_weights(x_t, gross_returns) -> np.ndarray:
     """Weights after passively holding through one period's gross returns.
 
@@ -212,16 +208,11 @@ def hold_gross_returns(
     Returns ``(index_gross, asset_gross)`` of shapes (t_bar,) and
     (t_bar, d): products of (1 + daily return) over each hold window.
     """
-    periods = range(_validated_t_bar(panel, config))
-    index_gross = np.array([_hold_gross(panel.index_returns, config, t) for t in periods])
-    asset_gross = np.array([_hold_gross(panel.asset_returns, config, t) for t in periods])
+    end = config.window + _validated_t_bar(panel, config) * config.hold
+    periods = [slice(s, s + config.hold) for s in range(config.window, end, config.hold)]
+    index_gross = np.array([np.prod(1.0 + panel.index_returns[p], axis=0) for p in periods])
+    asset_gross = np.array([np.prod(1.0 + panel.asset_returns[p], axis=0) for p in periods])
     return index_gross, asset_gross
-
-
-def _hold_gross(returns: np.ndarray, config: BacktestConfig, t: int):
-    """Products of (1 + daily return) of ``returns`` over hold period ``t`` (0-based)."""
-    start = t * config.hold + config.window
-    return np.prod(1.0 + returns[start : start + config.hold], axis=0)
 
 
 def _validated_t_bar(panel: ReturnPanel, config: BacktestConfig) -> int:
@@ -230,7 +221,7 @@ def _validated_t_bar(panel: ReturnPanel, config: BacktestConfig) -> int:
             f"window {config.window} plus hold {config.hold} exceeds "
             f"panel length {panel.n_days}"
         )
-    return _t_bar(panel.n_days, config.window, config.hold)
+    return (panel.n_days - config.window) // config.hold
 
 
 def _weights_matrix(weights, t_bar: int, d: int) -> np.ndarray:
@@ -352,15 +343,13 @@ def solve_model(
 _worker_job: tuple[ReturnPanel, BacktestConfig] | None = None
 
 
-def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> WindowResult:
-    """Fit window ``t`` (1-based) and price its hold period: the window's record."""
+def _fit_window(t: int, panel: ReturnPanel, config: BacktestConfig, x0=None) -> ModelFit:
+    """The fit of window ``t`` (1-based)."""
     start = (t - 1) * config.hold
     try:
-        fit = solve_model(panel, start, start + config.window, config, x0=x0)
+        return solve_model(panel, start, start + config.window, config, x0=x0)
     except DrTrackError as exc:
         raise type(exc)(f"window {t}: {exc}") from exc
-    gross = float(_hold_gross(panel.asset_returns, config, t - 1) @ fit.weights)
-    return WindowResult(**vars(fit), t=t, portfolio_gross_return=gross)
 
 
 def _init_worker(panel: ReturnPanel, config: BacktestConfig) -> None:
@@ -368,7 +357,7 @@ def _init_worker(panel: ReturnPanel, config: BacktestConfig) -> None:
     _worker_job = (panel, config)
 
 
-def _fit_window_in_worker(t: int) -> WindowResult:
+def _fit_window_in_worker(t: int) -> ModelFit:
     return _fit_window(t, *_worker_job)
 
 
@@ -402,8 +391,8 @@ def _pool_workers(config: BacktestConfig, t_bar: int) -> int:
     return workers
 
 
-def _fit_windows(panel: ReturnPanel, config: BacktestConfig, t_bar: int) -> list[WindowResult]:
-    """Every window's record, in window order."""
+def _fit_windows(panel: ReturnPanel, config: BacktestConfig, t_bar: int) -> list[ModelFit]:
+    """Every window's fit, in window order."""
     workers = _pool_workers(config, t_bar)
     if workers:
         import multiprocessing
@@ -421,7 +410,7 @@ def _fit_windows(panel: ReturnPanel, config: BacktestConfig, t_bar: int) -> list
         finally:
             pool.shutdown(cancel_futures=True)
     warm = config.model_id.startswith("scvar")
-    fits: list[WindowResult] = []
+    fits: list[ModelFit] = []
     for t in range(1, t_bar + 1):
         x0 = fits[-1].weights if warm and fits else None
         fits.append(_fit_window(t, panel, config, x0))
@@ -436,29 +425,29 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
     ``scvar-*`` window after the first starts from the previous window's
     weights; the other models, and the first window, start cold.  The
     cold ``drcvar-*`` windows are fitted in forked worker processes, one
-    per usable CPU up to ``t_bar``, when there are at least two.
+    per usable CPU up to ``t_bar``, when there are at least two.  Each
+    window's hold period is priced here, from :func:`hold_gross_returns`.
     """
-    t_bar = _validated_t_bar(panel, config)
-    if t_bar < 1:
-        raise InvalidInputError(
-            f"no complete window+hold fits in {panel.n_days} days"
-        )
     index_gross, asset_gross = hold_gross_returns(panel, config)
-    windows = _fit_windows(panel, config, t_bar)
+    fits = _fit_windows(panel, config, len(index_gross))
+    windows = tuple(
+        WindowResult(**vars(fit), t=t, portfolio_gross_return=float(gross @ fit.weights))
+        for t, (fit, gross) in enumerate(zip(fits, asset_gross), start=1)
+    )
     mat = np.vstack([w.weights for w in windows])
     tei = compute_tei(mat, panel, config)
     teo = compute_teo(mat, index_gross, asset_gross)
     perf = compute_performance(mat, asset_gross)
     return BacktestReport(
         model_id=config.model_id,
-        t_bar=t_bar,
+        t_bar=len(windows),
         tei=tei,
         teo=teo,
         sigma2=perf.sigma2,
         sharpe=perf.sharpe,
         turnover=perf.turnover,
         cpu_seconds=sum(w.solve_seconds for w in windows),
-        windows=tuple(windows),
+        windows=windows,
     )
 
 

@@ -11,7 +11,9 @@ compare      run several models and emit a comparison table
 Configuration values come from defaults, then an optional JSON config
 file with flat dotted keys, then command-line flags, in that order of
 precedence.  Exit codes: 0 success, 2 usage or validation error,
-3 data error, 4 numerical failure.
+3 data error, 4 numerical failure or, under ``--strict``, a fit that
+did not converge.  The fitting commands (all but gen-data) read their
+config and flags before the panel, so an exit 2 precedes an exit 3.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ import numpy as np
 from .backtest import (
     MODEL_IDS,
     BacktestConfig,
+    BacktestReport,
     grid_search,
     report_to_dict,
     run_backtest,
     solve_model,
 )
 from .baselines import BaselineParams
-from .data import gen_synthetic, load_returns_csv, save_returns_csv
+from .data import ReturnPanel, gen_synthetic, load_returns_csv, save_returns_csv
 from .errors import DataError, InvalidInputError, NumericalError
 from .model import ModelParams
 from .spg import STATUS_CONVERGED, SpgParams
@@ -140,19 +143,6 @@ def _write_trace(path: str, trace) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_rows(text: str | None, n_days: int) -> tuple[int, int]:
-    if text is None:
-        return 0, n_days
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InvalidInputError(f"--rows must look like START:STOP, got {text!r}")
-    try:
-        start, stop = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InvalidInputError(f"--rows must hold integers, got {text!r}") from None
-    return start, stop
-
-
 def cmd_gen_data(args: argparse.Namespace) -> int:
     panel = gen_synthetic(
         d=args.assets, n_days=args.days, seed=args.seed, regime_shift=args.shift_day
@@ -166,45 +156,18 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    config = _backtest_config(cfg, args.model)
-    panel = load_returns_csv(args.data)
-    start, stop = _parse_rows(args.rows, panel.n_days)
-    want_trace = args.trace_out is not None
-    if want_trace and args.model == "te-l2":
-        raise InvalidInputError("--trace-out is not available for te-l2")
-    fit = solve_model(panel, start, stop, config, record_trace=want_trace)
-    doc = fit.to_dict()
-    doc = {"model": args.model, "wall_seconds": doc.pop("solve_seconds")} | doc
-    if fit.trace is not None:
-        _write_trace(args.trace_out, fit.trace)
-    _emit_json(doc, args.out)
-    if args.strict and fit.status != STATUS_CONVERGED:
-        print(f"solver did not converge: status={fit.status}", file=sys.stderr)
-        return 4
-    return 0
+def _parse_rows(text: str) -> tuple[int, int]:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise InvalidInputError(f"--rows must look like START:STOP, got {text!r}")
+    try:
+        start, stop = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InvalidInputError(f"--rows must hold integers, got {text!r}") from None
+    return start, stop
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    config = _backtest_config(cfg, args.model)
-    panel = load_returns_csv(args.data)
-    report = run_backtest(panel, config)
-    _emit_json(report_to_dict(report, config), args.out)
-    counts = ", ".join(f"{n} {status}" for status, n in report.status_counts.items())
-    print(f"{report.t_bar} windows: {counts}", file=sys.stderr)
-    if args.strict:
-        bad = [w.t for w in report.windows if w.status != STATUS_CONVERGED]
-        if bad:
-            print(f"windows did not converge: {bad}", file=sys.stderr)
-            return 4
-    return 0
-
-
-def _parse_grid(text: str | None) -> list[tuple[float, float]] | None:
-    if text is None:
-        return None
+def _parse_grid(text: str) -> list[tuple[float, float]]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
@@ -216,25 +179,75 @@ def _parse_grid(text: str | None) -> list[tuple[float, float]] | None:
     return [(a, b) for a in values for b in values]
 
 
-def cmd_grid_search(args: argparse.Namespace) -> int:
+def _parse_models(text: str) -> list[str]:
+    model_ids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not model_ids:
+        raise InvalidInputError("--models must name at least one model")
+    for model_id in model_ids:
+        if model_id not in MODEL_IDS + UNAVAILABLE_MODELS:
+            raise InvalidInputError(
+                f"unknown model {model_id!r}; available: {', '.join(MODEL_IDS)}; "
+                f"acknowledged but unimplemented: {', '.join(UNAVAILABLE_MODELS)}"
+            )
+    return model_ids
+
+
+def _inputs(args: argparse.Namespace) -> tuple[dict[str, BacktestConfig], ReturnPanel]:
+    """A fitting command's configs, by model id, and then its panel.
+
+    Every config or flag error (exit 2) is raised before the panel is
+    read, so it takes precedence over a data error (exit 3).
+    """
     cfg = _effective_config(args)
-    config = _backtest_config(cfg, args.model)
-    panel = load_returns_csv(args.data)
-    result = grid_search(panel, config, grid=_parse_grid(args.grid))
-    doc = {
-        "rows": [report_to_dict(entry.report, entry.config) for entry in result.rows],
-        "best": {
-            "tau1": result.best.tau1,
-            "tau2": result.best.tau2,
-            "teo": result.best.report.teo,
-        },
-    }
+    if getattr(args, "trace_out", None) is not None and args.model == "te-l2":
+        raise InvalidInputError("--trace-out is not available for te-l2")
+    model_ids = args.models if "models" in args else [args.model]
+    configs = {m: _backtest_config(cfg, m) for m in model_ids if m not in UNAVAILABLE_MODELS}
+    return configs, load_returns_csv(args.data)
+
+
+def _bad_windows(report: BacktestReport, label: str = "") -> list[str]:
+    """The line naming the windows of ``report`` that did not converge, if any."""
+    bad = [w.t for w in report.windows if w.status != STATUS_CONVERGED]
+    return [f"windows did not converge: {label}{bad}"] if bad else []
+
+
+def cmd_solve(args: argparse.Namespace, configs: dict, panel: ReturnPanel) -> list[str]:
+    start, stop = args.rows or (0, panel.n_days)
+    fit = solve_model(panel, start, stop, configs[args.model],
+                      record_trace=args.trace_out is not None)
+    doc = fit.to_dict()
+    doc = {"model": args.model, "wall_seconds": doc.pop("solve_seconds")} | doc
+    if fit.trace is not None:
+        _write_trace(args.trace_out, fit.trace)
+    _emit_json(doc, args.out)
+    bad = fit.status != STATUS_CONVERGED
+    return [f"solver did not converge: status={fit.status}"] if bad else []
+
+
+def cmd_backtest(args: argparse.Namespace, configs: dict, panel: ReturnPanel) -> list[str]:
+    config = configs[args.model]
+    report = run_backtest(panel, config)
+    _emit_json(report_to_dict(report, config), args.out)
+    counts = ", ".join(f"{n} {status}" for status, n in report.status_counts.items())
+    print(f"{report.t_bar} windows: {counts}", file=sys.stderr)
+    return _bad_windows(report)
+
+
+def cmd_grid_search(args: argparse.Namespace, configs: dict, panel: ReturnPanel) -> list[str]:
+    result = grid_search(panel, configs[args.model], grid=args.grid)
+    best = result.best
+    rows = [report_to_dict(entry.report, entry.config) for entry in result.rows]
+    doc = {"rows": rows, "best": {"tau1": best.tau1, "tau2": best.tau2, "teo": best.report.teo}}
     _emit_json(doc, args.out)
     print(
-        f"grid-search: {len(result.rows)} points, best tau1={result.best.tau1:g} "
-        f"tau2={result.best.tau2:g} teo={result.best.report.teo:.6g}"
+        f"grid-search: {len(rows)} points, best tau1={best.tau1:g} "
+        f"tau2={best.tau2:g} teo={best.report.teo:.6g}"
     )
-    return 0
+    return [
+        line for entry in result.rows
+        for line in _bad_windows(entry.report, f"tau1={entry.tau1:g} tau2={entry.tau2:g} ")
+    ]
 
 
 # Row keys of the comparison table after the model id, in column order.
@@ -245,50 +258,42 @@ def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6g}"
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    panel = load_returns_csv(args.data)
-    model_ids = [tok.strip() for tok in args.models.split(",") if tok.strip()]
-    if not model_ids:
-        raise InvalidInputError("--models must name at least one model")
-    rows = []
-    for model_id in model_ids:
-        if model_id in UNAVAILABLE_MODELS:
-            rows.append({"model": model_id, "status": "unavailable"})
-            continue
-        if model_id not in MODEL_IDS:
-            raise InvalidInputError(
-                f"unknown model {model_id!r}; available: {', '.join(MODEL_IDS)}; "
-                f"acknowledged but unimplemented: {', '.join(UNAVAILABLE_MODELS)}"
-            )
-        config = _backtest_config(cfg, model_id)
-        report = run_backtest(panel, config)
-        taus = {"tau1": config.model.tau1, "tau2": config.model.tau2}
-        metrics = {key: getattr(report, key) for key in _COMPARE_COLUMNS[2:]}
-        rows.append({"model": model_id, "status": "ok", **taus, **metrics})
-    _emit_json({"rows": rows}, args.out)
+def cmd_compare(args: argparse.Namespace, configs: dict, panel: ReturnPanel) -> list[str]:
     header = ("model", "tau1", "tau2", "TEI", "TEO", "sigma2", "SR", "TO", "CPU_s")
-    table = [header]
-    for row in rows:
-        if row.get("status") == "unavailable":
-            table.append((row["model"], "unavailable", "", "", "", "", "", "", ""))
-        else:
-            table.append((row["model"], *(_fmt(row[key]) for key in _COMPARE_COLUMNS)))
+    rows, table, unconverged = [], [header], []
+    for model_id in args.models:
+        config = configs.get(model_id)
+        if config is None:
+            rows.append({"model": model_id, "status": "unavailable"})
+            table.append((model_id, "unavailable", "", "", "", "", "", "", ""))
+            continue
+        report = run_backtest(panel, config)
+        summary = report_to_dict(report, config)
+        del summary["per_window"]
+        rows.append({"status": "ok", **summary})
+        table.append((model_id, *(_fmt(summary[key]) for key in _COMPARE_COLUMNS)))
+        unconverged += _bad_windows(report, f"{model_id} ")
+    _emit_json({"rows": rows}, args.out)
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())
-    return 0
+    return unconverged
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, rolling: bool = True) -> None:
+    """The flags of every fitting command; ``--window`` and ``--hold`` if ``rolling``."""
+    parser.add_argument("--data", required=True)
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
     parser.add_argument("--out", help="output JSON path (default: stdout)")
-    parser.add_argument("--strict", action="store_true", help="non-converged solves fail the run")
+    parser.add_argument("--strict", action="store_true", help="non-converged fits fail the run")
     parser.add_argument("--tau1", type=float, help="ridge penalty weight")
     parser.add_argument("--tau2", type=float, help="CVaR penalty weight")
     parser.add_argument("--beta", type=float, help="CVaR confidence level in (0,1)")
     parser.add_argument("--kappa1", type=float, help="mean-ellipsoid radius")
     parser.add_argument("--kappa2", type=float, help="second-moment bound factor")
+    if rolling:
+        parser.add_argument("--window", type=int, help="training window length")
+        parser.add_argument("--hold", type=int, help="hold period length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,33 +309,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--shift-day", type=int, default=None, help="regime-shift day index")
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_gen_data)
 
     p_solve = sub.add_parser("solve", help="fit one model on a panel")
-    p_solve.add_argument("--data", required=True)
     p_solve.add_argument("--model", required=True, choices=MODEL_IDS)
-    p_solve.add_argument("--rows", help="fit row range START:STOP (default: all rows)")
+    p_solve.add_argument(
+        "--rows", type=_parse_rows, help="fit row range START:STOP (default: all rows)"
+    )
     p_solve.add_argument(
         "--trace-out",
         help="CSV path for (cpu_seconds, objective) trace; cpu_seconds is wall time",
     )
-    _add_common_flags(p_solve)
+    _add_common_flags(p_solve, rolling=False)
     p_solve.set_defaults(func=cmd_solve)
 
     p_back = sub.add_parser("backtest", help="run the rolling-window protocol")
-    p_back.add_argument("--data", required=True)
     p_back.add_argument("--model", required=True, choices=MODEL_IDS)
-    p_back.add_argument("--window", type=int, help="training window length")
-    p_back.add_argument("--hold", type=int, help="hold period length")
     _add_common_flags(p_back)
     p_back.set_defaults(func=cmd_backtest)
 
     p_grid = sub.add_parser("grid-search", help="sweep penalty pairs, pick lowest TEO")
-    p_grid.add_argument("--data", required=True)
     p_grid.add_argument("--model", required=True, choices=MODEL_IDS)
-    p_grid.add_argument("--grid", help="comma-separated penalty values (default: built-in grid)")
-    p_grid.add_argument("--window", type=int, help="training window length")
-    p_grid.add_argument("--hold", type=int, help="hold period length")
+    p_grid.add_argument(
+        "--grid", type=_parse_grid, help="comma-separated penalty values (default: built-in grid)"
+    )
     p_grid.add_argument(
         "--threads",
         type=int,
@@ -341,14 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=cmd_grid_search)
 
     p_cmp = sub.add_parser("compare", help="run several models, print a comparison")
-    p_cmp.add_argument("--data", required=True)
     p_cmp.add_argument(
         "--models",
+        type=_parse_models,
         default="drcvar-l2,drcvar-l1,scvar-l2,scvar-l1,te-l2",
         help="comma-separated model ids",
     )
-    p_cmp.add_argument("--window", type=int, help="training window length")
-    p_cmp.add_argument("--hold", type=int, help="hold period length")
     _add_common_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -356,13 +355,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse passes on the InvalidInputError of a --rows, --grid or
+        # --models parser, since it catches only ValueError and TypeError
+        args = build_parser().parse_args(argv)
+        if args.command == "gen-data":
+            return cmd_gen_data(args)
+        # a fitting command writes its output, then returns the lines
+        # naming its fits that did not converge
+        unconverged = args.func(args, *_inputs(args))
+        if args.strict and unconverged:
+            print("\n".join(unconverged), file=sys.stderr)
+            return 4
+        return 0
     except SystemExit as exc:
+        # argparse exits on --help and on a usage error
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

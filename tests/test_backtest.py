@@ -211,6 +211,8 @@ def test_run_backtest_is_deterministic_and_consistent():
         assert a.status == "converged"
     mat = np.vstack([w.weights for w in first.windows])
     index_gross, asset_gross = hold_gross_returns(panel, config)
+    for w in first.windows:
+        assert w.portfolio_gross_return == float(asset_gross[w.t - 1] @ w.weights)
     assert first.tei == pytest.approx(compute_tei(mat, panel, config), rel=1e-14)
     assert first.teo == pytest.approx(
         compute_teo(mat, index_gross, asset_gross), rel=1e-14

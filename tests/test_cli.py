@@ -264,20 +264,51 @@ def test_missing_data_file_returns_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", "te-l2", "--beta", "2"],
+    ["backtest", "--model", "te-l2", "--beta", "2"],
+    ["grid-search", "--model", "te-l2", "--beta", "2"],
+    ["compare", "--models", "te-l2", "--beta", "2"],
+    ["solve", "--model", "te-l2", "--trace-out", "trace.csv"],
+    ["solve", "--model", "te-l2", "--rows", "0-30"],
+    ["grid-search", "--model", "te-l2", "--grid", "x"],
+    ["compare", "--models", "bogus"],
+], ids=["solve-beta", "backtest-beta", "grid-search-beta", "compare-beta",
+        "solve-trace-out", "solve-rows", "grid-search-grid", "compare-models"])
+def test_flag_errors_exit_2_before_the_panel_is_read(argv, tmp_path, capsys):
+    # the data file is missing, which would exit 3 if it were read first
+    assert main(argv + ["--data", str(tmp_path / "nope.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "data error" not in err
+
+
 def test_unknown_model_rejected(market_csv, capsys):
     assert main(["solve", "--data", market_csv, "--model", "bogus"]) == 2
     capsys.readouterr()
 
 
-def test_backtest_strict_returns_4(quiet_csv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["backtest", "--model", "drcvar-l2"],
+                 "windows did not converge: [1, 2]", id="backtest"),
+    pytest.param(["grid-search", "--model", "drcvar-l2", "--grid", "0.05"],
+                 "windows did not converge: tau1=0.05 tau2=0.05 [1, 2]", id="grid-search"),
+    pytest.param(["compare", "--models", "drcvar-l2,te-l2"],
+                 "windows did not converge: drcvar-l2 [1, 2]", id="compare"),
+])
+def test_backtest_strict_returns_4(argv, message, quiet_csv, tmp_path, capsys):
     cfg = tmp_path / "cap.json"
     cfg.write_text(json.dumps({"spg.max_outer_iters": 1}))
-    rc = main(["backtest", "--data", quiet_csv, "--model", "drcvar-l2", *FAST,
-               "--window", "30", "--hold", "15", "--config", str(cfg),
-               "--strict"])
-    captured = capsys.readouterr()
-    assert rc == 4
-    assert "windows did not converge" in captured.err
+    argv = argv + ["--data", quiet_csv, *FAST, "--window", "30", "--hold", "15",
+                   "--config", str(cfg)]
+    assert main(argv + ["--strict"]) == 4
+    strict = capsys.readouterr()
+    assert strict.err.splitlines()[-1] == message
+    # without --strict the same run exits 0 and writes the same document
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert "did not converge" not in plain.err
+    decode = json.JSONDecoder().raw_decode
+    assert without_timing(decode(strict.out)[0]) == without_timing(decode(plain.out)[0])
 
 
 def test_backtest_reports_status_counts(quiet_csv, tmp_path, capsys):
@@ -371,6 +402,13 @@ def test_compare_cli(market_csv, capsys):
     doc, table_at = json.JSONDecoder().raw_decode(out)
     by_model = {row["model"]: row for row in doc["rows"]}
     assert by_model["te-l2"]["status"] == "ok"
+    # an ok row is the backtest summary: the backtest document without its windows
+    config = BacktestConfig("te-l2", ModelParams(), window=20, hold=10)
+    report = backtest.run_backtest(load_returns_csv(market_csv), config)
+    summary = backtest.report_to_dict(report, config)
+    del summary["per_window"]
+    summary = json.loads(json.dumps(summary))
+    assert without_timing(by_model["te-l2"]) == without_timing({"status": "ok", **summary})
     assert by_model["lasso"]["status"] == "unavailable"
     assert by_model["mixed01-lp"]["status"] == "unavailable"
     assert "unavailable" in out[table_at:]
