@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import BaselineParams, scvar_solve, te_l2_solve
 from .data import ReturnPanel, build_sample_set, estimate_moments
 from .errors import DrTrackError, InvalidInputError
-from .model import AmbiguityParams, ModelParams, PsiKind, _check_budget
+from .model import AmbiguityParams, ModelParams, PsiKind, _check_budget, _checked_radii
 from .spg import (
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
@@ -87,6 +87,7 @@ class BacktestConfig:
             )
         _check_budget(self.window, "window", 2)
         _check_budget(self.hold, "hold")
+        _checked_radii(self.kappa1, self.kappa2)
         psi = PsiKind.ABSOLUTE if self.model_id.endswith("-l1") else PsiKind.SQUARED
         object.__setattr__(self, "model", replace(self.model, psi=psi))
 

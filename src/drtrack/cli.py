@@ -180,7 +180,7 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
 
 
 def _parse_models(text: str) -> list[str]:
-    model_ids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    model_ids = list(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
     if not model_ids:
         raise InvalidInputError("--models must name at least one model")
     for model_id in model_ids:

@@ -72,6 +72,16 @@ def _check_budget(value, name: str, minimum: int = 1) -> None:
         raise InvalidInputError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
+def _checked_radii(kappa1, kappa2) -> tuple[float, float]:
+    """The ambiguity radii as floats: finite, ``kappa1 >= 0`` and ``kappa2 > 0``."""
+    kappa1, kappa2 = _finite_float(kappa1, "kappa1"), _finite_float(kappa2, "kappa2")
+    if kappa1 < 0:
+        raise InvalidInputError("kappa1 must be nonnegative")
+    if kappa2 <= 0:
+        raise InvalidInputError("kappa2 must be positive")
+    return kappa1, kappa2
+
+
 class PsiKind(enum.Enum):
     """Shape of the tracking-error penalty applied to a single deviation."""
 
@@ -142,12 +152,7 @@ class AmbiguityParams:
         scale = max(1.0, float(np.abs(sig).max()))
         if float(np.abs(sig - sig.T).max()) > 1e-12 * scale:
             raise InvalidInputError("sigma_hat must be symmetric")
-        kappa1 = _finite_float(self.kappa1, "kappa1")
-        kappa2 = _finite_float(self.kappa2, "kappa2")
-        if kappa1 < 0:
-            raise InvalidInputError("kappa1 must be nonnegative")
-        if kappa2 <= 0:
-            raise InvalidInputError("kappa2 must be positive")
+        kappa1, kappa2 = _checked_radii(self.kappa1, self.kappa2)
         smallest = float(np.linalg.eigvalsh(sig)[0])
         if smallest <= 0:
             raise InvalidInputError(

@@ -73,8 +73,8 @@ STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
 STATUS_STALLED = "stalled"
 
-# Hard floor keeping the smoothing level representable; reached only if
-# the stopping test somehow never fires within the iteration budget.
+# Hard floor keeping the smoothing level representable; a run that neither
+# stops nor stalls for about 1,000 outer iterations reaches it.
 _MU_MIN = 1e-300
 
 # Consecutive stalled inner phases tolerated before giving up.
@@ -128,12 +128,13 @@ class SolveResult:
     ``smooth_objective`` and ``residual`` are taken at the final
     smoothing level ``mu_final``.  ``trials`` counts the smoothed
     evaluations spent inside line searches, at least one per accepted
-    inner step.  ``trace`` holds one
-    ``(cpu_seconds, smoothed objective)`` pair per accepted inner step,
-    ``cpu_seconds`` being the wall time since the solve started
-    (``time.perf_counter``), not processor time, and
-    ``phase_objectives`` the smoothed-objective sequence of every
-    inner phase; both are None unless tracing was requested.
+    inner step.  ``trace`` and ``phase_objectives`` are two views of one
+    log of ``(cpu_seconds, smoothed objective)`` pairs, kept only when
+    tracing was requested (else both are None); ``cpu_seconds`` is wall
+    time since the solve started (``time.perf_counter``, not processor
+    time).  ``trace`` is the start's pair and one per accepted inner
+    step; ``phase_objectives`` is each inner phase's entry objective
+    followed by those of its accepted steps.
     """
 
     nu: DualPoint
@@ -170,11 +171,6 @@ def _unit_step(y: np.ndarray, g: np.ndarray, d: int) -> tuple[tuple, float]:
     projected = _project_flat(y - g, d)
     step = projected[0] - y
     return projected, math.sqrt(step @ step)
-
-
-def _residual(y: np.ndarray, g: np.ndarray, d: int) -> float:
-    """Norm of the unit-step projected-gradient displacement at flat ``y``."""
-    return _unit_step(y, g, d)[1]
 
 
 def _not_finite(what: str, mu: float, k: int) -> NumericalError:
@@ -310,9 +306,10 @@ def spg_solve(
     of the smoothing level.  A phase is skipped when the residual is
     already below ``epsilon``; the run converges once residual and
     smoothing level are jointly small, stalls after three consecutive
-    phases whose line search failed, and otherwise stops at the outer
-    iteration cap.  Raises :class:`NumericalError` on a non-finite
-    smoothed gradient or failed line search.
+    phases whose line search failed or whose first step left the point
+    unchanged, and otherwise stops at the outer iteration cap.  Raises
+    :class:`NumericalError` on a non-finite smoothed gradient or failed
+    line search.
     """
     d = nu0.dim
     if samples.n_assets != d:
@@ -327,16 +324,15 @@ def spg_solve(
     grad_evals = 0
     inner_total = 0
     trials = 0
-    outer_done = 0
     consecutive_stalls = 0
     stepsize = None  # the last accepted step; it guides the next line search
     status = STATUS_ITERATION_CAP
-    trace: list[tuple[float, float]] | None = [] if record_trace else None
-    phases: list[tuple[float, ...]] | None = [] if record_trace else None
+    # (seconds, smoothed objective) pairs: a list for the start, then one per phase
+    log: list[list[tuple[float, float]]] | None = [[]] if record_trace else None
 
-    def _trace_point(value: float) -> None:
-        if trace is not None:
-            trace.append((time.perf_counter() - start_time, value))
+    def note(value: float) -> None:
+        if log is not None:
+            log[-1].append((time.perf_counter() - start_time, value))
 
     def gradient(point: np.ndarray, at: _Smoothed, k: int) -> np.ndarray:
         nonlocal grad_evals
@@ -349,18 +345,18 @@ def spg_solve(
     # ``at`` always holds the kernel result at ``y``; a new smoothing
     # level re-runs only its O(N) stage on the stored mu-free parts.
     at = _smooth(y, factor, d, samples_t, mu_k, amb, model)
-    _trace_point(at.value)
+    note(at.value)
     for k in range(spg.max_outer_iters):
         g = gradient(y, at, k)
         unit, residual = _unit_step(y, g, d)
         if residual <= _EPSILON and mu_k <= _MU_STOP:
             status = STATUS_CONVERGED
-            outer_done = k
             break
         stalled = False
         if residual >= _EPSILON:
-            fy = at.value
-            phase_log = [fy]
+            if log is not None:
+                log.append([])
+            note(at.value)
             first = spg.alpha0  # the gradient changed with mu: restart the first trial
             for j in range(1, spg.max_inner_per_phase + 1):
                 if j > 1:
@@ -369,33 +365,30 @@ def spg_solve(
                 # P(y - 1.0 * g) is the unit step that the residual projected
                 projected = unit if j == 1 and first == 1.0 else None
                 y_next, trial, stepsize, evaluations = _armijo_flat(
-                    y, fy, g, first, d, mu_k, samples_t, amb, model, k, projected, stepsize
+                    y, at.value, g, first, d, mu_k, samples_t, amb, model, k, projected, stepsize
                 )
                 trials += evaluations
-                if trial is None:
+                # a first step that cannot move the point fails like a line search
+                if trial is None or (j == 1 and np.array_equal(y_next, y)):
                     stalled = True
                     break
                 step = y_next - y
-                displacement = math.sqrt(step @ step)
-                y, at, fy = y_next, trial, trial.value
-                phase_log.append(fy)
+                y, at = y_next, trial
                 inner_total += 1
-                _trace_point(fy)
-                if j >= _N0 and displacement / stepsize < _ETA * mu_k:
+                note(at.value)
+                if j >= _N0 and math.sqrt(step @ step) / stepsize < _ETA * mu_k:
                     break
-            if phases is not None:
-                phases.append(tuple(phase_log))
         consecutive_stalls = consecutive_stalls + 1 if stalled else 0
         if consecutive_stalls >= _MAX_CONSECUTIVE_STALLS:
             status = STATUS_STALLED
-            outer_done = k + 1
             break
         mu_k = max(_OMEGA * mu_k, _MU_MIN)
         at = _at_level(at.parts, mu_k, amb, model)
-        outer_done = k + 1
 
+    # a converged run stops before outer iteration k; any other ends with it
+    outer_iters = k if status == STATUS_CONVERGED else k + 1
     if status != STATUS_CONVERGED:
-        residual = _residual(y, gradient(y, at, outer_done), d)
+        residual = _unit_step(y, gradient(y, at, outer_iters), d)[1]
     nu = DualPoint.from_array(y, d)
     objective, _ = evaluate_phi_n(nu, samples, amb, model)
     return SolveResult(
@@ -404,11 +397,11 @@ def spg_solve(
         smooth_objective=at.value,
         residual=residual,
         mu_final=mu_k,
-        outer_iters=outer_done,
+        outer_iters=outer_iters,
         inner_iters=inner_total,
         grad_evals=grad_evals,
         trials=trials,
         status=status,
-        trace=tuple(trace) if trace is not None else None,
-        phase_objectives=tuple(phases) if phases is not None else None,
+        trace=None if log is None else tuple(log[0] + [e for p in log[1:] for e in p[1:]]),
+        phase_objectives=None if log is None else tuple(tuple(v for _, v in p) for p in log[1:]),
     )

@@ -273,8 +273,12 @@ def test_missing_data_file_returns_3(tmp_path, capsys):
     ["solve", "--model", "te-l2", "--rows", "0-30"],
     ["grid-search", "--model", "te-l2", "--grid", "x"],
     ["compare", "--models", "bogus"],
+    ["solve", "--model", "scvar-l2", "--kappa1", "-1"],
+    ["solve", "--model", "te-l2", "--kappa2", "0"],
+    ["backtest", "--model", "drcvar-l2", "--kappa2", "0"],
 ], ids=["solve-beta", "backtest-beta", "grid-search-beta", "compare-beta",
-        "solve-trace-out", "solve-rows", "grid-search-grid", "compare-models"])
+        "solve-trace-out", "solve-rows", "grid-search-grid", "compare-models",
+        "solve-kappa1", "solve-kappa2", "backtest-kappa2"])
 def test_flag_errors_exit_2_before_the_panel_is_read(argv, tmp_path, capsys):
     # the data file is missing, which would exit 3 if it were read first
     assert main(argv + ["--data", str(tmp_path / "nope.csv")]) == 2
@@ -412,6 +416,11 @@ def test_compare_cli(market_csv, capsys):
     assert by_model["lasso"]["status"] == "unavailable"
     assert by_model["mixed01-lp"]["status"] == "unavailable"
     assert "unavailable" in out[table_at:]
+    # a repeated model is fitted and reported once
+    assert main(["compare", "--data", market_csv, "--models", "te-l2,te-l2",
+                 "--window", "20", "--hold", "10"]) == 0
+    rows = json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]["rows"]
+    assert [row["model"] for row in rows] == ["te-l2"]
     assert main(["compare", "--data", market_csv, "--models", "bogus",
                  "--window", "20", "--hold", "10"]) == 2
     capsys.readouterr()

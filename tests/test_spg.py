@@ -16,9 +16,9 @@ from drtrack.spg import (
     STATUS_ITERATION_CAP,
     STATUS_STALLED,
     SpgParams,
-    _residual,
     _search_exponent,
     _spectral_step,
+    _unit_step,
     default_start,
     spg_solve,
 )
@@ -67,7 +67,7 @@ def test_spg_solve_converges_with_real_descent():
     # residual is reproducible from the final iterate and smoothing level
     grad = grad_smooth_phi(res.nu, samples, res.mu_final, amb, model)
     assert res.residual == pytest.approx(
-        _residual(res.nu.to_array(), grad.to_array(), 3), rel=1e-9
+        _unit_step(res.nu.to_array(), grad.to_array(), 3)[1], rel=1e-9
     )
 
 
@@ -117,6 +117,24 @@ def test_spg_stalls_after_three_failed_line_searches(monkeypatch):
     projected = project_feasible(start)
     assert np.array_equal(res.nu.to_array(), projected.to_array())
     assert res.objective == evaluate_phi_n(projected, samples, amb, model)[0]
+
+
+def test_spg_stalls_when_a_phase_cannot_move_the_point(monkeypatch):
+    # a phase whose first accepted step returns the point unchanged counts as
+    # a failed line search, so three in a row end the run with no step taken
+    armijo = spg_module._armijo_flat
+
+    def standing_still(y, *args):
+        _, at, step, trials = armijo(y, *args)
+        return y.copy(), at, step, trials
+
+    monkeypatch.setattr(spg_module, "_armijo_flat", standing_still)
+    samples, amb, model = tracking_instance(0)
+    res = spg_solve(vertex_start(3), samples, amb, model, SpgParams(max_outer_iters=50),
+                    record_trace=True)
+    assert res.status == STATUS_STALLED
+    assert (res.outer_iters, res.inner_iters) == (3, 0)
+    assert all(len(phase) == 1 for phase in res.phase_objectives)
 
 
 def test_spg_inner_cap_bounds_phase_length():
@@ -268,6 +286,16 @@ def test_spg_spectral_start_saves_line_search_trials():
     assert res.inner_iters == 100
     # restarting every line search at alpha0 costs 2.75 trials per step here
     assert res.inner_iters <= res.trials <= 2.0 * res.inner_iters
+
+
+def test_trace_and_phase_objectives_are_views_of_one_log():
+    res = spg_solve(*capped_instance(), CAPS, record_trace=True)
+    assert len(res.phase_objectives) > 1
+    steps = [value for phase in res.phase_objectives for value in phase[1:]]
+    assert [value for _, value in res.trace[1:]] == steps
+    assert len(res.trace) == res.inner_iters + 1
+    times = [t for t, _ in res.trace]
+    assert all(b >= a for a, b in zip(times, times[1:]))
 
 
 def run_search(ok, guess):
