@@ -329,11 +329,14 @@ def evaluate_khat(x, alpha, xi, model: ModelParams) -> float:
     return value
 
 
-def _h1(x, alpha, q, lam, amb: AmbiguityParams, model: ModelParams) -> float:
-    """Sample-free part of ``h``: multiplier terms plus penalties."""
-    mu = amb.mu_hat
-    value = amb.kappa2 * float((amb.sigma_hat * lam).sum())
-    value += float(mu @ lam @ mu) + float(q @ mu)
+def _moment(amb: AmbiguityParams) -> np.ndarray:
+    """``C = kappa2 * sym(sigma_hat) + mu_hat mu_hat'``, exactly symmetric."""
+    return amb.kappa2 * 0.5 * (amb.sigma_hat + amb.sigma_hat.T) + np.outer(amb.mu_hat, amb.mu_hat)
+
+
+def _h1(x, alpha, q, lam, moment, mu_hat, model: ModelParams) -> float:
+    """Sample-free part of ``h``: ``<C, lam> + q' mu_hat`` plus penalties."""
+    value = float(np.vdot(moment, lam)) + float(q @ mu_hat)
     value += model.tau1 * float(x @ x) + model.tau2 * alpha
     return value
 
@@ -351,7 +354,7 @@ def h_values(
     _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
     u = nu.q + 2.0 * nu.lam @ amb.mu_hat
     norm = math.sqrt(amb.kappa1 * max(float(u @ amb.sigma_hat @ u), 0.0))
-    base = _h1(nu.x, nu.alpha, nu.q, nu.lam, amb, model) + norm
+    base = _h1(nu.x, nu.alpha, nu.q, nu.lam, _moment(amb), amb.mu_hat, model) + norm
     s = samples.samples
     losses = -(samples.xi_b @ nu.x)
     c = samples.xi_a + losses

@@ -16,18 +16,19 @@ known margin (``mu * log 2``, ``sqrt(mu)``, ``sqrt(mu)``, and
 exact one as ``mu`` decreases.  All evaluations here are overflow-safe
 and deterministic.
 
-The kernel runs in two stages.  The first, free of ``mu``, computes
-per sample the quadratic form ``xi' lam xi + q' xi``, the tracking
-deviation and the plus-part argument, plus the sample-free terms.  The
-quadratic forms come from one product of ``[F | q | (x; 0)]'`` with
-``samples_t``, a contiguous ``(d + 1) x N`` copy of the samples that
-the solver builds once, where ``F`` is an eigen-factor of the
-symmetric part of ``lam`` (the PSD projection's own factor inside the
-solver), so a trial costs one GEMM of height ``rank(lam) + 2`` whose
-rows, and the index returns, are contiguous.  The second stage
-applies the surrogates and the log-sum-exp at level ``mu`` in O(N), so
-a new smoothing level re-runs only that stage.  The gradient forms the
-weighted Gram ``sum_i w_i xi_i xi_i'`` as a symmetric rank-k update.
+The kernel runs on a :class:`_Kernel`, the per-solve state built once:
+``samples_t``, the one contiguous ``(d + 1) x N`` copy of the samples
+that every product reads, a ``(d + 3) x N`` scratch buffer that each
+product overwrites and no result keeps a view of, and the moment matrix
+``C = kappa2 * sigma_hat + mu_hat mu_hat'``.  The first stage, free of
+``mu``, computes per sample ``xi' lam xi + q' xi``, the tracking
+deviation and the plus-part argument, plus ``<C, lam> + q' mu_hat + ...``,
+from one GEMM of ``[F | q | (x; 0)]'``, of height ``rank(lam) + 2 <= d + 3``,
+with ``samples_t``; ``F`` is an eigen-factor of ``sym(lam)`` (inside the
+solver, the PSD projection's own).  The second stage applies the
+surrogates and the log-sum-exp at level ``mu`` in O(N).  The gradient
+scales ``samples_t`` by ``sqrt(w)`` into the buffer for the weighted
+Gram ``sum_i w_i xi_i xi_i'``, one symmetric rank-k update.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .model import (
     SampleSet,
     _check_sample_dim,
     _h1,
+    _moment,
     _split_flat,
 )
 from .projections import _eigen_factor
@@ -62,6 +64,10 @@ __all__ = [
 # Normalised softmax weights below this threshold are flushed to zero;
 # they are far beneath double-precision resolution of the weighted sums.
 WEIGHT_FLUSH = 1e-300
+
+# Tails exp(a) with a <= this are 0: exp, 10-150x slower on subnormal
+# results, sees a clamped here, and exp(-700) ~ 1e-304 < WEIGHT_FLUSH.
+_EXP_FLOOR = -700.0
 
 
 def _mu_value(mu) -> float:
@@ -82,8 +88,9 @@ def smooth_plus(t, mu):
 
 
 def _plus_and_tail(t: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth plus-part of ``t`` and its tail ``exp(-|t| / mu)``."""
-    tail = np.exp(-np.abs(t) / mu)
+    """Smooth plus-part of ``t`` and its tail ``exp(-|t| / mu)``, 0 below ``exp(_EXP_FLOOR)``."""
+    arg = -np.abs(t) / mu
+    tail = np.where(arg > _EXP_FLOOR, np.exp(np.maximum(arg, _EXP_FLOOR)), 0.0)
     return np.maximum(t, 0.0) + mu * np.log1p(tail), tail
 
 
@@ -145,17 +152,36 @@ class _Smoothed(NamedTuple):
     norm_val: float  # smoothed mean-ellipsoid term
 
 
-def _parts(flat: np.ndarray, factor, d: int, samples_t: np.ndarray, amb, model) -> _Parts:
+class _Kernel(NamedTuple):
+    """Per-solve state of the step kernel, built once by :func:`_kernel`."""
+
+    d: int
+    samples_t: np.ndarray  # contiguous (d + 1) x N copy of the samples
+    buf: np.ndarray  # (d + 3) x N scratch, overwritten by every product
+    moment: np.ndarray  # C = kappa2 * sym(sigma_hat) + mu_hat mu_hat'
+    amb: AmbiguityParams
+    model: ModelParams
+
+
+def _kernel(samples: SampleSet, amb: AmbiguityParams, model: ModelParams) -> _Kernel:
+    """The kernel state for ``samples``; its buffer is private to one solve."""
+    samples_t = np.ascontiguousarray(samples.samples.T)
+    m, n = samples_t.shape
+    return _Kernel(m - 1, samples_t, np.empty((m + 2, n)), _moment(amb), amb, model)
+
+
+def _parts(flat: np.ndarray, factor, kern: _Kernel) -> _Parts:
     """The mu-free stage at a flat dual vector, unchecked.
 
     ``factor = (F, p)``, from :func:`drtrack.projections._eigen_factor`,
     writes ``sym(lam)`` as ``P P' - Q Q'`` with
     ``P = F[:, :p]`` and ``Q = F[:, p:]``.  One product of
-    ``[F | q | (x; 0)]'`` with ``samples_t``, the contiguous
-    ``(d + 1) x N`` copy of the samples, yields the quadratic forms as
-    column sums of squares, ``q' xi`` and the portfolio returns
-    ``x' xi_b``; the index returns are the last row of ``samples_t``.
+    ``[F | q | (x; 0)]'`` with ``samples_t``, written into the scratch
+    buffer, yields the quadratic forms as column sums of squares,
+    ``q' xi`` and the portfolio returns ``x' xi_b``; the index returns
+    are the last row of ``samples_t``.  The parts copy what they keep.
     """
+    d, samples_t, amb = kern.d, kern.samples_t, kern.amb
     x, alpha, q, lam = _split_flat(flat, d)
     u = q + 2.0 * lam @ amb.mu_hat
     su = amb.sigma_hat @ u
@@ -165,7 +191,7 @@ def _parts(flat: np.ndarray, factor, d: int, samples_t: np.ndarray, amb, model) 
     left[:r] = cols.T
     left[r] = q
     left[r + 1, :d] = x
-    prod = left @ samples_t
+    prod = np.matmul(left, samples_t, out=kern.buf[: r + 2])
     pos = prod[:npos]
     quad = np.einsum("ij,ij->j", pos, pos)
     if npos < r:
@@ -175,23 +201,24 @@ def _parts(flat: np.ndarray, factor, d: int, samples_t: np.ndarray, amb, model) 
     losses = -prod[r + 1]
     c = samples_t[d] + losses
     t = losses - alpha
-    return _Parts(_h1(x, alpha, q, lam, amb, model), float(u @ su), su, quad, c, t)
+    h1 = _h1(x, alpha, q, lam, kern.moment, amb.mu_hat, kern.model)
+    return _Parts(h1, float(u @ su), su, quad, c, t)
 
 
-def _at_level(parts: _Parts, mu: float, amb, model) -> _Smoothed:
+def _at_level(parts: _Parts, mu: float, kern: _Kernel) -> _Smoothed:
     """The O(N) stage: components and log-sum-exp at level ``mu``.
 
     The log-sum-exp, taken against the running maximum, brackets the
     largest component within ``mu * log(N)``.
     """
-    norm_val = math.sqrt(amb.kappa1 * parts.usu + mu)
+    norm_val = math.sqrt(kern.amb.kappa1 * parts.usu + mu)
     plus, tail = _plus_and_tail(parts.t, mu)
     vals = (
         parts.h1
         + norm_val
-        + _psi(parts.c, mu, model.psi)
+        + _psi(parts.c, mu, kern.model.psi)
         - parts.quad
-        + model.cvar_coef * plus
+        + kern.model.cvar_coef * plus
     )
     top = float(vals.max())
     spread = np.exp((vals - top) / mu)
@@ -200,34 +227,26 @@ def _at_level(parts: _Parts, mu: float, amb, model) -> _Smoothed:
     return _Smoothed(parts, value, vals, spread, spread_sum, tail, norm_val)
 
 
-def _smooth(
-    flat: np.ndarray, factor, d: int, samples_t: np.ndarray, mu: float, amb, model
-) -> _Smoothed:
-    """Smoothed components and objective at a flat dual vector, unchecked.
-
-    ``samples_t`` is the contiguous ``(d + 1) x N`` copy of the samples.
-    """
-    return _at_level(_parts(flat, factor, d, samples_t, amb, model), mu, amb, model)
+def _smooth(flat: np.ndarray, factor, mu: float, kern: _Kernel) -> _Smoothed:
+    """Smoothed components and objective at a flat dual vector, unchecked."""
+    return _at_level(_parts(flat, factor, kern), mu, kern)
 
 
-def _gradient(
-    flat: np.ndarray, d: int, at: _Smoothed, samples: SampleSet, samples_t: np.ndarray,
-    mu: float, amb, model,
-) -> np.ndarray:
+def _gradient(flat: np.ndarray, at: _Smoothed, mu: float, kern: _Kernel) -> np.ndarray:
     """Flat gradient of the smoothed objective from its components ``at``.
 
     The gradient is the softmax-weighted combination of the component
-    gradients.  ``s' w`` and ``xi_b' v`` come from one two-column
-    product and the weighted Gram ``s' diag(w) s`` from one symmetric
-    rank-k update of ``sqrt(w) s``, scaled in ``samples_t``, a
-    contiguous ``(d + 1) x N`` copy of ``s'``: numpy scales its rows
-    faster than the columns of ``s``, to the same Gram.  The matrix
-    block is symmetrised so ascent directions stay inside the symmetric
-    matrices that the feasible set uses.
+    gradients, read off ``samples_t`` alone: ``s' w`` and ``xi_b' v``
+    come from one two-column product ``samples_t @ [w | v]``, and the
+    weighted Gram ``s' diag(w) s`` from one symmetric rank-k update of
+    ``samples_t`` scaled by ``sqrt(w)`` into the scratch buffer.  The
+    matrix block ``C + g mu_hat' + mu_hat g' - Gram`` is exactly
+    symmetric term by term, so ascent directions stay inside the
+    symmetric matrices that the feasible set uses.
     """
+    d, samples_t, amb, model = kern.d, kern.samples_t, kern.amb, kern.model
     m = d + 1
     x = flat[:d]
-    s = samples.samples
     mu_hat = amb.mu_hat
     parts = at.parts
     weights = at.spread / at.spread_sum
@@ -237,11 +256,11 @@ def _gradient(
     psi_prime = _smooth_psi_prime(parts.c, mu, model.psi)
     coef = model.cvar_coef
 
-    pair = np.empty((s.shape[0], 2))
+    pair = np.empty((samples_t.shape[1], 2))
     pair[:, 0] = weights
     np.multiply(weights, psi_prime + coef * sig, out=pair[:, 1])
-    sums = s.T @ pair
-    scaled = samples_t * np.sqrt(weights)
+    sums = samples_t @ pair
+    scaled = np.multiply(samples_t, np.sqrt(weights), out=kern.buf[:m])
     gram = scaled @ scaled.T
 
     grad = np.empty(d + 1 + m + m * m)
@@ -249,26 +268,23 @@ def _gradient(
     grad[d] = model.tau2 - coef * float(weights @ sig)
     g_norm = (amb.kappa1 / at.norm_val) * parts.su
     grad[d + 1 : d + 1 + m] = mu_hat + g_norm - sums[:, 0]
-    glam = (
-        amb.kappa2 * amb.sigma_hat
-        + mu_hat[:, None] * mu_hat
-        + 2.0 * (g_norm[:, None] * mu_hat)
-        - gram
-    )
-    np.add(glam, glam.T, out=grad[d + 1 + m :].reshape(m, m))
-    grad[d + 1 + m :] *= 0.5
+    glam = grad[d + 1 + m :].reshape(m, m)
+    cross = np.multiply.outer(g_norm, mu_hat)
+    np.add(cross, cross.T, out=glam)
+    glam += kern.moment
+    glam -= gram
     return grad
 
 
 def _checked(nu: DualPoint, samples: SampleSet, mu, amb: AmbiguityParams, model: ModelParams):
-    """Validate a wrapper's inputs; return ``(flat nu, mu, samples_t, kernel result)``."""
+    """Validate a wrapper's inputs; return ``(flat nu, mu, kernel state, kernel result)``."""
     mu = _mu_value(mu)
     _check_sample_dim(samples.samples.shape[1], nu.dim, "samples")
     _check_sample_dim(amb.dim, nu.dim, "ambiguity parameters")
     flat = nu.to_array()
     factor = _eigen_factor(0.5 * (nu.lam + nu.lam.T))
-    samples_t = np.ascontiguousarray(samples.samples.T)
-    return flat, mu, samples_t, _smooth(flat, factor, nu.dim, samples_t, mu, amb, model)
+    kern = _kernel(samples, amb, model)
+    return flat, mu, kern, _smooth(flat, factor, mu, kern)
 
 
 def smooth_h_values(
@@ -301,6 +317,6 @@ def grad_smooth_phi(
     model: ModelParams,
 ) -> DualPoint:
     """Gradient of :func:`smooth_phi`, packaged blockwise as a DualPoint."""
-    flat, mu, samples_t, at = _checked(nu, samples, mu, amb, model)
-    grad = _gradient(flat, nu.dim, at, samples, samples_t, mu, amb, model)
+    flat, mu, kern, at = _checked(nu, samples, mu, amb, model)
+    grad = _gradient(flat, at, mu, kern)
     return DualPoint.from_array(grad, nu.dim)

@@ -19,13 +19,14 @@ the next larger grid step fails.
 
 :func:`spg_solve` validates and projects the start point once on
 entry and builds one :class:`DualPoint` on exit.  In between it works
-on one flat vector ``(x | alpha | q | vec(lam))``, and every trial's
-product and every gradient read one contiguous transposed copy of the
-samples, built on entry; the gradient at an
-accepted trial reuses the smoothed components that trial computed, and
-a new smoothing level re-runs only the kernel's O(N) stage on that
-trial's mu-free parts.  Each outer iteration projects ``y - g`` once,
-for the residual; when a phase's first trial step is exactly 1, that
+on one flat vector ``(x | alpha | q | vec(lam))``, and every trial and
+gradient runs on one kernel state built on entry
+(:func:`drtrack.smoothing._kernel`): the one contiguous transposed
+copy of the samples, one scratch buffer and the moment matrix.  The
+gradient at an accepted trial reuses the smoothed components that
+trial computed, and a new smoothing level re-runs only the kernel's
+O(N) stage on that trial's mu-free parts.  Each outer iteration
+projects ``y - g`` once, for the residual; when a phase's first trial step is exactly 1, that
 projection is its first trial.  A non-finite smoothed gradient, or a
 line search that fails on a non-finite trial value, raises
 :class:`NumericalError`.
@@ -52,7 +53,7 @@ from .model import (
     var_threshold,
 )
 from .projections import _project_flat
-from .smoothing import _at_level, _gradient, _smooth, _Smoothed
+from .smoothing import _at_level, _gradient, _kernel, _Kernel, _smooth, _Smoothed
 
 # perfbench/layers.py wraps these names on this module to trace the
 # calls made through it; the solver itself runs on the flat kernels.
@@ -233,9 +234,8 @@ def _search_exponent(passes, guess) -> int | None:
 
 
 def _armijo_flat(
-    y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, d: int, mu: float,
-    samples_t: np.ndarray, amb, model, k: int, projected: tuple | None,
-    last_step: float | None,
+    y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, mu: float, kern: _Kernel,
+    k: int, projected: tuple | None, last_step: float | None,
 ) -> tuple[np.ndarray, _Smoothed | None, float | None, int]:
     """Flat Armijo step on the grid ``stepsize * rho**j``: ``(point, smoothed, step, trials)``.
 
@@ -263,8 +263,8 @@ def _armijo_flat(
         if j == 0 and projected is not None:
             cand, factor = projected
         else:
-            cand, factor = _project_flat(y - (stepsize * _RHO**j) * g, d)
-        at = _smooth(cand, factor, d, samples_t, mu, amb, model)
+            cand, factor = _project_flat(y - (stepsize * _RHO**j) * g, kern.d)
+        at = _smooth(cand, factor, mu, kern)
         slope = float(g @ (cand - y))
         tried[j] = at.value, slope
         if at.value <= fy + _SIGMA * slope:
@@ -318,7 +318,7 @@ def spg_solve(
         )
     _check_sample_dim(amb.dim, d, "ambiguity parameters")
     start_time = time.perf_counter()
-    samples_t = np.ascontiguousarray(samples.samples.T)
+    kern = _kernel(samples, amb, model)
     y, factor = _project_flat(nu0.to_array(), d)
     mu_k = _MU0
     grad_evals = 0
@@ -337,14 +337,14 @@ def spg_solve(
     def gradient(point: np.ndarray, at: _Smoothed, k: int) -> np.ndarray:
         nonlocal grad_evals
         grad_evals += 1
-        g = _gradient(point, d, at, samples, samples_t, mu_k, amb, model)
+        g = _gradient(point, at, mu_k, kern)
         if not np.isfinite(g).all():
             raise _not_finite("gradient", mu_k, k)
         return g
 
     # ``at`` always holds the kernel result at ``y``; a new smoothing
     # level re-runs only its O(N) stage on the stored mu-free parts.
-    at = _smooth(y, factor, d, samples_t, mu_k, amb, model)
+    at = _smooth(y, factor, mu_k, kern)
     note(at.value)
     for k in range(spg.max_outer_iters):
         g = gradient(y, at, k)
@@ -365,7 +365,7 @@ def spg_solve(
                 # P(y - 1.0 * g) is the unit step that the residual projected
                 projected = unit if j == 1 and first == 1.0 else None
                 y_next, trial, stepsize, evaluations = _armijo_flat(
-                    y, at.value, g, first, d, mu_k, samples_t, amb, model, k, projected, stepsize
+                    y, at.value, g, first, mu_k, kern, k, projected, stepsize
                 )
                 trials += evaluations
                 # a first step that cannot move the point fails like a line search
@@ -383,7 +383,7 @@ def spg_solve(
             status = STATUS_STALLED
             break
         mu_k = max(_OMEGA * mu_k, _MU_MIN)
-        at = _at_level(at.parts, mu_k, amb, model)
+        at = _at_level(at.parts, mu_k, kern)
 
     # a converged run stops before outer iteration k; any other ends with it
     outer_iters = k if status == STATUS_CONVERGED else k + 1

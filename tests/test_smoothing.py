@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import gaussian_instance, random_dual_point
+from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
 from drtrack.errors import InvalidInputError
-from drtrack.model import DualPoint, PsiKind, SampleSet, h_values
+from drtrack.model import AmbiguityParams, DualPoint, ModelParams, PsiKind, SampleSet, h_values
 from drtrack.projections import _project_flat, project_feasible
 from drtrack.smoothing import (
     grad_smooth_phi,
@@ -18,6 +19,8 @@ from drtrack.smoothing import (
     smooth_plus,
     smooth_psi,
     _at_level,
+    _gradient,
+    _kernel,
     _psi,
     _smooth,
 )
@@ -175,14 +178,83 @@ def test_mu_stage_on_stored_parts_equals_a_fresh_pass():
             23, d=3, n=25, scale=0.5, tau1=0.1, tau2=0.05, beta=0.9, psi=kind
         )
         flat, factor = _project_flat(random_dual_point(rng, 3).to_array(), 3)
-        samples_t = np.ascontiguousarray(samples.samples.T)
-        at = _smooth(flat, factor, 3, samples_t, 1.0, amb, model)
+        kern = _kernel(samples, amb, model)
+        at = _smooth(flat, factor, 1.0, kern)
         for mu in (0.5, 1e-3, 1e-9):
-            again = _at_level(at.parts, mu, amb, model)
-            fresh = _smooth(flat, factor, 3, samples_t, mu, amb, model)
+            again = _at_level(at.parts, mu, kern)
+            fresh = _smooth(flat, factor, mu, kern)
             assert again.value == fresh.value
             assert again.spread_sum == fresh.spread_sum
             assert again.norm_val == fresh.norm_val
             for name in ("vals", "spread", "tail"):
                 assert np.array_equal(getattr(again, name), getattr(fresh, name))
             at = again
+
+
+def test_scratch_buffer_reuse_leaves_earlier_results_intact():
+    # every product writes the kernel's one scratch buffer; a result that
+    # kept a view of it would change when the next point is evaluated
+    rng = np.random.default_rng(89)
+    samples, amb, model = gaussian_instance(29, d=4, n=40, scale=0.5, tau1=0.1, tau2=0.05,
+                                            beta=0.9, psi=PsiKind.ABSOLUTE)
+    kern = _kernel(samples, amb, model)
+    mu = 1e-2
+    flat_a, factor_a = _project_flat(random_dual_point(rng, 4).to_array(), 4)
+    at_a = _smooth(flat_a, factor_a, mu, kern)
+    grad_a = _gradient(flat_a, at_a, mu, kern)
+    arrays = {name: getattr(at_a, name).copy() for name in ("vals", "spread", "tail")}
+    parts = {name: getattr(at_a.parts, name).copy() for name in ("su", "quad", "c", "t")}
+    # a point of another rank, so the product fills a different share of the buffer
+    flat_b = random_dual_point(rng, 4).to_array()
+    flat_b[-25:] += 3.0 * np.eye(5).ravel()
+    flat_b, factor_b = _project_flat(flat_b, 4)
+    assert factor_b[0].shape != factor_a[0].shape
+    at_b = _smooth(flat_b, factor_b, mu, kern)
+    _gradient(flat_b, at_b, mu, kern)
+    for name, before in arrays.items():
+        assert np.array_equal(getattr(at_a, name), before)
+    for name, before in parts.items():
+        assert np.array_equal(getattr(at_a.parts, name), before)
+    assert np.array_equal(_gradient(flat_a, at_a, mu, kern), grad_a)
+
+
+def test_kernel_matches_exact_values_and_finite_differences_at_benchmark_scale():
+    # d = 30 as in the benchmark's solve, with an indefinite lam for the
+    # values and a projected point for the gradient
+    d = 30
+    m = d + 1
+    panel = gen_synthetic(d, 600, 7)
+    samples = build_sample_set(panel)
+    moments = estimate_moments(panel)
+    amb = AmbiguityParams(mu_hat=moments.mu_hat, sigma_hat=moments.sigma_hat,
+                          kappa1=0.1, kappa2=1.0)
+    rng = np.random.default_rng(97)
+    for kind in PsiKind:
+        model = ModelParams(tau1=0.1, tau2=0.05, beta=0.9, psi=kind)
+        if kind is PsiKind.SQUARED:
+            # the smoothed absolute value may lie sqrt(mu) = 1e-6 above |c|
+            nu = random_dual_point(rng, d)
+            exact = h_values(nu, samples, amb, model)
+            smooth = smooth_h_values(nu, samples, 1e-12, amb, model)
+            assert np.max(np.abs(smooth - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+        mu = 1e-3
+        base = project_feasible(random_dual_point(rng, d)).to_array()
+        direction = rng.normal(size=(m, m))
+        direction += direction.T
+        direction /= np.linalg.norm(direction)
+        head = d + 1 + m
+
+        def along(z):
+            # x, alpha and q, then a step along the symmetric lam direction
+            flat = base.copy()
+            flat[:head] = z[:head]
+            flat[head:] += z[head] * direction.ravel()
+            return smooth_phi(DualPoint.from_array(flat, d), samples, mu, amb, model)
+
+        fd = oracles.fd_gradient(along, np.append(base[:head], 0.0), 1e-6)
+        grad = grad_smooth_phi(DualPoint.from_array(base, d), samples, mu, amb, model)
+        blocks = grad.to_array()[:head]
+        assert np.max(np.abs(fd[:head] - blocks)) <= 1e-6 * np.max(np.abs(blocks))
+        slope = float(np.sum(grad.lam * direction))
+        assert abs(fd[head] - slope) <= 1e-6 * abs(slope)
