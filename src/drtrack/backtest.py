@@ -5,14 +5,16 @@ holds it for a fixed number of days, rolls forward by the hold length,
 and repeats while a full window plus hold period remains.  In-sample
 tracking error is measured on the fitting windows with daily returns;
 out-of-sample error, variance, Sharpe ratio, and turnover are measured
-on the hold periods with compounded gross returns.
+on the hold periods with compounded gross returns.  Every fit, by
+:func:`solve_model`, is a :class:`~drtrack.model.ModelFit`, and each
+window's :class:`WindowResult` extends it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,15 +22,19 @@ import numpy as np
 from .baselines import BaselineParams, scvar_solve, te_l2_solve
 from .data import ReturnPanel, build_sample_set, estimate_moments
 from .errors import DrTrackError, InvalidInputError
-from .model import AmbiguityParams, ModelParams, PsiKind, _check_budget, _checked_radii
-from .spg import (
+from .model import (
+    _SPG_COUNTERS,
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
     STATUS_STALLED,
-    SpgParams,
-    default_start,
-    spg_solve,
+    AmbiguityParams,
+    ModelFit,
+    ModelParams,
+    PsiKind,
+    _check_budget,
+    _checked_radii,
 )
+from .spg import SpgParams, default_start, spg_solve
 
 __all__ = [
     "MODEL_IDS",
@@ -57,13 +63,6 @@ MODEL_IDS = ("drcvar-l2", "drcvar-l1", "scvar-l2", "scvar-l1", "te-l2")
 # values, written as literals so the enumeration is exact.
 TAU_GRID = (0.0, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3)
 
-# The SolveResult counts of a drcvar-* fit besides its objective and
-# status: a ModelFit's counters, null in the JSON of the other models.
-_SPG_COUNTERS = (
-    "smooth_objective", "inner_iters", "outer_iters", "grad_evals", "trials", "residual", "mu_final"
-)
-
-
 @dataclass(frozen=True)
 class BacktestConfig:
     """Protocol geometry plus the solver configuration for one model.
@@ -90,45 +89,6 @@ class BacktestConfig:
         _checked_radii(self.kappa1, self.kappa2)
         psi = PsiKind.ABSOLUTE if self.model_id.endswith("-l1") else PsiKind.SQUARED
         object.__setattr__(self, "model", replace(self.model, psi=psi))
-
-
-@dataclass(frozen=True, eq=False)
-class ModelFit:
-    """One fit of any model, as :func:`solve_model` returns it.
-
-    ``objective`` is the exact (dual, for ``drcvar-*``) objective at
-    ``weights`` and ``alpha`` the CVaR threshold, None for ``te-l2``.
-    ``lower_bound`` and ``gap`` certify it as in :class:`BaselineResult`,
-    and are None for ``drcvar-*``, whose fits carry no bound yet.
-    ``iters`` counts the ``scvar-*`` or the SPG inner iterations (None for
-    ``te-l2``), and ``counters`` holds the :data:`_SPG_COUNTERS` of a
-    ``drcvar-*`` fit, empty otherwise.  ``solve_seconds`` is the wall time
-    of :func:`solve_model`, from building the samples to the solver's end,
-    and ``trace`` the solver's trace, if one was recorded.
-    """
-
-    weights: np.ndarray
-    status: str
-    objective: float
-    alpha: float | None
-    lower_bound: float | None
-    gap: float | None
-    iters: int | None
-    counters: dict[str, float]
-    solve_seconds: float
-    trace: tuple[tuple[float, float], ...] | None
-
-    def to_dict(self) -> dict:
-        """JSON-ready fields, weights rounded to 12 significant digits.
-
-        ``counters`` are written as keys of their own, every name of
-        :data:`_SPG_COUNTERS` present (null unless ``drcvar-*``), and
-        ``trace`` is left out.
-        """
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        del doc["counters"], doc["trace"]
-        doc["weights"] = [float(f"{v:.12g}") for v in self.weights]
-        return doc | dict.fromkeys(_SPG_COUNTERS) | self.counters
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,18 +262,23 @@ def solve_model(
 ) -> ModelFit:
     """Fit the model ``config.model_id`` names on panel rows ``[start, stop)``.
 
-    ``drcvar-*`` runs :func:`spg_solve` from :func:`default_start`,
-    ``scvar-*`` :func:`scvar_solve` from ``x0`` (uniform weights if
-    None) and ``te-l2`` :func:`te_l2_solve`, which records no trace.
-    Only ``scvar-*`` takes an ``x0``.  The fit times itself: its
-    ``solve_seconds`` run from building the samples to the solver's end.
+    ``scvar-*`` runs :func:`scvar_solve` from ``x0`` (uniform weights if
+    None) and ``te-l2`` :func:`te_l2_solve`, which records no trace, and
+    their records are returned as they are; ``drcvar-*`` runs
+    :func:`spg_solve` from :func:`default_start`, whose result fills the
+    record.  Only ``scvar-*`` takes an ``x0``.  Every fit's ``solve_seconds``
+    is then reset to run from building the samples to the solver's end.
     """
     model = config.model
     if x0 is not None and not config.model_id.startswith("scvar"):
         raise InvalidInputError(f"{config.model_id} takes no x0")
     begin = time.perf_counter()
     samples = build_sample_set(panel, start, stop)
-    if config.model_id.startswith("drcvar"):
+    if config.model_id.startswith("scvar"):
+        fit = scvar_solve(samples, model, config.baseline, record_trace, x0=x0)
+    elif config.model_id == "te-l2":
+        fit = te_l2_solve(samples, model.tau1)
+    else:
         moments = estimate_moments(panel, start, stop)
         amb = AmbiguityParams(
             mu_hat=moments.mu_hat,
@@ -324,19 +289,13 @@ def solve_model(
         result = spg_solve(
             default_start(samples, model), samples, amb, model, config.spg, record_trace
         )
-        counters = {name: getattr(result, name) for name in _SPG_COUNTERS}
-        own = dict(weights=result.nu.x, alpha=result.nu.alpha, lower_bound=None, gap=None,
-                   iters=result.inner_iters, counters=counters)
-    else:
-        if config.model_id.startswith("scvar"):
-            result = scvar_solve(samples, model, config.baseline, record_trace, x0=x0)
-        else:
-            result = te_l2_solve(samples, model.tau1)
-        own = dict(weights=result.x, alpha=result.alpha, lower_bound=result.lower_bound,
-                   gap=result.gap, iters=result.iters, counters={})
-    seconds = time.perf_counter() - begin
-    return ModelFit(status=result.status, objective=result.objective, solve_seconds=seconds,
-                    trace=result.trace, **own)
+        fit = ModelFit(
+            weights=result.nu.x, status=result.status, objective=result.objective,
+            alpha=result.nu.alpha, lower_bound=None, gap=None, iters=result.inner_iters,
+            counters={name: getattr(result, name) for name in _SPG_COUNTERS},
+            solve_seconds=0.0, trace=result.trace,
+        )
+    return replace(fit, solve_seconds=time.perf_counter() - begin)
 
 
 # Panel and config of the backtest whose windows this worker process

@@ -4,7 +4,8 @@ The sample-average CVaR tracker is solved to a certified gap, the
 least-squares tracker with a ridge term exactly, by an active-set
 method on the d x d Gram matrix, which also bounds the CVaR tracker
 when its objective is that quadratic but for the plus-parts.  Both share
-the simplex feasible set of the robust model.
+the simplex feasible set of the robust model, and both return the fit
+record of every model, :class:`~drtrack.model.ModelFit`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import (
+    STATUS_CONVERGED,
+    STATUS_ITERATION_CAP,
+    ModelFit,
     ModelParams,
     PsiKind,
     SampleSet,
@@ -29,17 +33,15 @@ from .model import (
 )
 from .projections import _simplex, project_simplex
 from .smoothing import _logistic, _smooth_psi_prime, smooth_psi
-from .spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
 
 __all__ = [
     "BaselineParams",
-    "BaselineResult",
     "scvar_objective",
     "scvar_solve",
     "te_l2_solve",
 ]
 
-# scvar_solve stops converged once its relative gap (BaselineResult.gap) is at most this.
+# scvar_solve stops converged once its relative gap (ModelFit.gap) is at most this.
 GAP_TOLERANCE = 1e-3
 # Newton on the smoothed threshold stops at this residual or this many steps.
 _THRESHOLD_TOLERANCE = 1e-12
@@ -65,30 +67,6 @@ class BaselineParams:
 
     def __post_init__(self) -> None:
         _check_budget(self.max_iters, "max_iters")
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    """Best iterate of a baseline solver, with its certificate.
-
-    ``alpha`` is the CVaR threshold at its loss quantile and ``iters``
-    the iterations, both None for :func:`te_l2_solve`.  ``gap`` is
-    ``(objective - lower_bound) / max(|objective|, floor)``, the floor
-    :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)`` over
-    :data:`GAP_TOLERANCE` (see :func:`te_l2_solve`).  ``trace``, if
-    requested, holds ``(cpu_seconds, best objective so far)`` per iteration,
-    where ``cpu_seconds`` is the wall time since the solve started
-    (``time.perf_counter``), not processor time.
-    """
-
-    x: np.ndarray
-    objective: float
-    lower_bound: float
-    gap: float
-    status: str
-    alpha: float | None = None
-    iters: int | None = None
-    trace: tuple[tuple[float, float], ...] | None = None
 
 
 def scvar_objective(x, alpha, samples: SampleSet, model: ModelParams) -> float:
@@ -175,7 +153,7 @@ def scvar_solve(
     params: BaselineParams = BaselineParams(),
     record_trace: bool = False,
     x0=None,
-) -> BaselineResult:
+) -> ModelFit:
     """Certified minimisation of the sample-average CVaR objective.
 
     FISTA from ``x0`` projected onto the simplex (uniform weights if
@@ -203,7 +181,7 @@ def scvar_solve(
     quantile, is a second candidate for the upper bound; the FISTA
     iterates are the same on both paths.
 
-    Stops ``converged`` once the gap of :class:`BaselineResult` is at most
+    Stops ``converged`` once the gap of :class:`~drtrack.model.ModelFit` is at most
     :data:`GAP_TOLERANCE`, else ``iteration-cap`` after
     ``params.max_iters`` iterations.  The first threshold, upper bound
     and ``mu`` come from the start's losses: ``mu`` starts at their
@@ -335,19 +313,14 @@ def scvar_solve(
                 y = x_new
             t = t_next
         x, fx, alpha = x_new, f_new, alpha_new
-    return BaselineResult(
-        x=best_x,
-        alpha=best_alpha,
-        objective=float(upper),
-        lower_bound=float(lower),
-        gap=gap,
-        iters=k + 1,
-        status=STATUS_CONVERGED if gap <= GAP_TOLERANCE else STATUS_ITERATION_CAP,
-        trace=tuple(trace) if trace is not None else None,
-    )
+    status = STATUS_CONVERGED if gap <= GAP_TOLERANCE else STATUS_ITERATION_CAP
+    return ModelFit(weights=best_x, status=status, objective=float(upper), alpha=best_alpha,
+                    lower_bound=float(lower), gap=gap, iters=k + 1, counters={},
+                    solve_seconds=time.perf_counter() - start_time,
+                    trace=tuple(trace) if trace is not None else None)
 
 
-def te_l2_solve(samples: SampleSet, tau1: float) -> BaselineResult:
+def te_l2_solve(samples: SampleSet, tau1: float) -> ModelFit:
     """Least-squares tracker with ridge term over the simplex, solved exactly.
 
     Minimises ``mean((xi_a - xi_b @ x)^2) + tau1 * ||x||^2``, that is
@@ -357,6 +330,7 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> BaselineResult:
     is a lower bound, since the objective is convex; ``converged`` means that
     gap is at most :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)``.
     """
+    start_time = time.perf_counter()
     tau1 = _finite_float(tau1, "tau1")
     if tau1 < 0.0:
         raise InvalidInputError(f"tau1 must be nonnegative, got {tau1!r}")
@@ -369,7 +343,9 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> BaselineResult:
     lower = objective - max(fw_gap, 0.0)
     gap = (objective - lower) / max(abs(objective), tol / GAP_TOLERANCE, math.ulp(0.0))
     status = STATUS_CONVERGED if fw_gap <= tol else STATUS_ITERATION_CAP
-    return BaselineResult(x, objective, lower, gap, status)
+    return ModelFit(weights=x, status=status, objective=objective, alpha=None,
+                    lower_bound=lower, gap=gap, iters=None, counters={},
+                    solve_seconds=time.perf_counter() - start_time, trace=None)
 
 
 def _tracking_qp(xi_b: np.ndarray, xi_a: np.ndarray, tau1: float):

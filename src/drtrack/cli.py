@@ -196,13 +196,18 @@ def _inputs(args: argparse.Namespace) -> tuple[dict[str, BacktestConfig], Return
     """A fitting command's configs, by model id, and then its panel.
 
     Every config or flag error (exit 2) is raised before the panel is
-    read, so it takes precedence over a data error (exit 3).
+    read, so it takes precedence over a data error (exit 3).  An output
+    path into a missing directory (exit 3) is reported before any fit.
     """
     cfg = _effective_config(args)
-    if getattr(args, "trace_out", None) is not None and args.model == "te-l2":
+    trace_out = getattr(args, "trace_out", None)
+    if trace_out is not None and args.model == "te-l2":
         raise InvalidInputError("--trace-out is not available for te-l2")
     model_ids = args.models if "models" in args else [args.model]
     configs = {m: _backtest_config(cfg, m) for m in model_ids if m not in UNAVAILABLE_MODELS}
+    for path in (args.out, trace_out):
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"the directory of {path} does not exist")
     return configs, load_returns_csv(args.data)
 
 

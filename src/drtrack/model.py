@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,10 @@ __all__ = [
     "DiscreteDistribution",
     "DualPoint",
     "FeasibilityReport",
+    "ModelFit",
+    "STATUS_CONVERGED",
+    "STATUS_ITERATION_CAP",
+    "STATUS_STALLED",
     "evaluate_khat",
     "h_values",
     "evaluate_phi_n",
@@ -435,3 +439,57 @@ def check_moment_feasibility(
     tol = 1e-10 * max(1.0, float(np.linalg.norm(amb.sigma_hat)) * amb.kappa2)
     feasible = mean_slack >= -tol and cov_slack >= -tol
     return FeasibilityReport(mean_slack=mean_slack, cov_slack=cov_slack, feasible=feasible)
+
+
+STATUS_CONVERGED = "converged"
+STATUS_ITERATION_CAP = "iteration-cap"
+STATUS_STALLED = "stalled"
+
+# The SolveResult counts of a drcvar-* fit besides its objective and
+# status: a ModelFit's counters, null in the JSON of the other models.
+_SPG_COUNTERS = (
+    "smooth_objective", "inner_iters", "outer_iters", "grad_evals", "trials", "residual", "mu_final"
+)
+
+
+@dataclass(frozen=True, eq=False)
+class ModelFit:
+    """One fit of any model, as ``scvar_solve``, ``te_l2_solve`` and ``solve_model`` return it.
+
+    ``objective`` is the exact (dual, for ``drcvar-*``) objective at
+    ``weights`` and ``alpha`` the CVaR threshold, None for ``te-l2``.
+    ``lower_bound`` certifies it, and ``gap`` is ``(objective -
+    lower_bound) / max(|objective|, floor)``, the floor ``TE_L2_GAP``
+    times ``mean(xi_a^2) + trace(G)`` over ``GAP_TOLERANCE`` (both in
+    :mod:`drtrack.baselines`); both are None for ``drcvar-*``, whose fits
+    carry no bound yet.  ``iters`` counts the ``scvar-*`` or the SPG inner
+    iterations (None for ``te-l2``), and ``counters`` holds the
+    :data:`_SPG_COUNTERS` of a ``drcvar-*`` fit, empty otherwise.
+    ``solve_seconds`` is the wall time of the solver, or of ``solve_model``
+    from building the samples on.  ``trace``, if recorded, holds
+    ``(cpu_seconds, objective)`` pairs, in seconds of wall time since the
+    solve started (``time.perf_counter``), not processor time.
+    """
+
+    weights: np.ndarray
+    status: str
+    objective: float
+    alpha: float | None
+    lower_bound: float | None
+    gap: float | None
+    iters: int | None
+    counters: dict[str, float]
+    solve_seconds: float
+    trace: tuple[tuple[float, float], ...] | None
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields, weights rounded to 12 significant digits.
+
+        ``counters`` are written as keys of their own, every name of
+        :data:`_SPG_COUNTERS` present (null unless ``drcvar-*``), and
+        ``trace`` is left out.
+        """
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        del doc["counters"], doc["trace"]
+        doc["weights"] = [float(f"{v:.12g}") for v in self.weights]
+        return doc | dict.fromkeys(_SPG_COUNTERS) | self.counters

@@ -42,6 +42,9 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .model import (
+    STATUS_CONVERGED,
+    STATUS_ITERATION_CAP,
+    STATUS_STALLED,
     AmbiguityParams,
     DualPoint,
     ModelParams,
@@ -69,10 +72,6 @@ __all__ = [
     "default_start",
     "spg_solve",
 ]
-
-STATUS_CONVERGED = "converged"
-STATUS_ITERATION_CAP = "iteration-cap"
-STATUS_STALLED = "stalled"
 
 # Hard floor keeping the smoothing level representable; a run that neither
 # stops nor stalls for about 1,000 outer iterations reaches it.

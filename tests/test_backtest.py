@@ -26,10 +26,10 @@ from drtrack.backtest import (
     solve_model,
     transition_weights,
 )
-from drtrack.baselines import GAP_TOLERANCE, BaselineParams
-from drtrack.data import gen_synthetic
+from drtrack.baselines import GAP_TOLERANCE, BaselineParams, scvar_solve, te_l2_solve
+from drtrack.data import build_sample_set, gen_synthetic
 from drtrack.errors import InvalidInputError, NumericalError
-from drtrack.model import ModelParams, PsiKind
+from drtrack.model import ModelFit, ModelParams, PsiKind
 from drtrack.spg import SpgParams
 
 
@@ -277,6 +277,38 @@ def test_run_backtest_covers_solver_paths():
     assert report.t_bar == 2 and report.model_id == "scvar-l1"
     assert all(w.iters > 0 for w in report.windows)
     assert all(w.counters == {} for w in report.windows)
+
+
+def test_solve_model_returns_the_baseline_solvers_own_record():
+    # a scvar-* or te-l2 fit is the direct solver's record, retimed
+    panel = gen_synthetic(d=3, n_days=60, seed=21)
+    samples = build_sample_set(panel, 10, 50)
+    same = ("status", "objective", "alpha", "lower_bound", "gap", "iters", "counters")
+    for model_id in ("scvar-l2", "scvar-l1", "te-l2"):
+        config = BacktestConfig(model_id, MODEL, window=40, hold=10)
+        traced = model_id != "te-l2"
+        if traced:
+            direct = scvar_solve(samples, config.model, config.baseline, record_trace=True)
+        else:
+            direct = te_l2_solve(samples, config.model.tau1)
+        fit = solve_model(panel, 10, 50, config, record_trace=traced)
+        assert type(fit) is type(direct) is ModelFit
+        assert fit.weights.tobytes() == direct.weights.tobytes()
+        assert [getattr(fit, k) for k in same] == [getattr(direct, k) for k in same]
+        assert fit.counters == {} and fit.solve_seconds > 0.0 and direct.solve_seconds > 0.0
+        if traced:
+            # each entry is (seconds since the solve started, best objective)
+            assert [obj for _, obj in fit.trace] == [obj for _, obj in direct.trace]
+            assert len(fit.trace) == fit.iters
+        else:
+            assert fit.trace is direct.trace is None
+    # and every model's record writes the same keys
+    key_sets = []
+    for model_id in MODEL_IDS:
+        drcvar = model_id.startswith("drcvar")
+        config = capped_drcvar(model_id) if drcvar else BacktestConfig(model_id, MODEL)
+        key_sets.append(set(solve_model(panel, 10, 50, config).to_dict()))
+    assert all(keys == key_sets[0] for keys in key_sets)
 
 
 def capped_drcvar(model_id):

@@ -59,11 +59,11 @@ def test_scvar_solve_improves_on_start_and_stays_feasible():
         start_f = scvar_objective(start_x, start_alpha, samples, model)
         res = scvar_solve(samples, model, BaselineParams(max_iters=5000))
         assert res.objective <= start_f + 1e-15
-        assert res.x.min() >= 0.0
-        assert res.x.sum() == pytest.approx(1.0, abs=1e-10)
-        assert res.alpha == var_threshold(res.x, samples, model.beta)
+        assert res.weights.min() >= 0.0
+        assert res.weights.sum() == pytest.approx(1.0, abs=1e-10)
+        assert res.alpha == var_threshold(res.weights, samples, model.beta)
         assert res.objective == pytest.approx(
-            scvar_objective(res.x, res.alpha, samples, model), rel=1e-12
+            scvar_objective(res.weights, res.alpha, samples, model), rel=1e-12
         )
         assert res.status == STATUS_CONVERGED
         assert res.lower_bound <= res.objective
@@ -139,7 +139,7 @@ def test_scvar_evaluates_each_accepted_point_once(monkeypatch):
 
 
 def _same_result(a, b) -> bool:
-    return np.array_equal(a.x, b.x) and (
+    return np.array_equal(a.weights, b.weights) and (
         a.alpha, a.objective, a.lower_bound, a.gap, a.iters, a.status
     ) == (b.alpha, b.objective, b.lower_bound, b.gap, b.iters, b.status)
 
@@ -306,7 +306,7 @@ def test_scvar_certifies_a_tight_gap_without_a_ridge(monkeypatch):
     assert res.status == STATUS_CONVERGED
     assert res.gap <= 1e-8
     assert res.objective == pytest.approx(
-        scvar_objective(res.x, res.alpha, samples, model), rel=1e-12
+        scvar_objective(res.weights, res.alpha, samples, model), rel=1e-12
     )
 
 
@@ -375,7 +375,7 @@ def test_scvar_with_zero_cvar_weight_skips_the_threshold_solve(monkeypatch):
                                               tau1=1e-3, tau2=0.0, beta=0.9, psi=psi)
         res = scvar_solve(samples, model)
         assert res.status == STATUS_CONVERGED
-        assert res.alpha == var_threshold(res.x, samples, model.beta)
+        assert res.alpha == var_threshold(res.weights, samples, model.beta)
     assert calls == []
     # a positive CVaR weight still solves for the threshold
     samples, _, model = gaussian_instance(8, d=3, n=30, scale=0.01,
@@ -480,7 +480,7 @@ def test_te_l2_matches_dense_scan_in_two_dimensions():
     samples, _, _ = gaussian_instance(9, d=2, n=40, scale=0.02)
     for tau1 in (0.0, 1e-3):
         res = te_l2_solve(samples, tau1)
-        x, value = res.x, res.objective
+        x, value = res.weights, res.objective
         assert x.shape == (2,) and x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
         weights = np.linspace(0.0, 1.0, 20_001)
@@ -501,7 +501,7 @@ def test_te_l2_perfect_replication_is_exact():
     other = rng.normal(0.0, 0.01, 60)
     samples = SampleSet(samples=np.column_stack([index, other, index]))
     res = te_l2_solve(samples, 0.0)
-    x, value = res.x, res.objective
+    x, value = res.weights, res.objective
     assert value <= 1e-12
     assert x[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -511,11 +511,11 @@ def test_te_l2_weights_are_invariant_under_return_scaling():
     samples, _, _ = gaussian_instance(21, d=5, n=80, scale=0.01)
     for tau1 in (0.0, 1e-3):
         res = te_l2_solve(samples, tau1)
-        x, value = res.x, res.objective
+        x, value = res.weights, res.objective
         for s in (1e-50, 1e-2, 1e2, 1e50):
             scaled = SampleSet(samples=s * samples.samples)
             res_s = te_l2_solve(scaled, s * s * tau1)
-            x_s, value_s = res_s.x, res_s.objective
+            x_s, value_s = res_s.weights, res_s.objective
             assert res_s.status == STATUS_CONVERGED
             assert np.abs(x_s - x).max() <= 1e-12
             assert value_s == pytest.approx(s * s * value, rel=1e-12)
@@ -539,7 +539,7 @@ def test_te_l2_certifies_a_panel_with_nearly_as_many_assets_as_days():
     # from the Gram matrix, is within 1e-12 of the data scale
     samples = build_sample_set(gen_synthetic(100, 500, 0), 0, 500)
     res = te_l2_solve(samples, 0.0)
-    x, value = res.x, res.objective
+    x, value = res.weights, res.objective
     assert res.status == STATUS_CONVERGED
     assert x.min() >= 0.0 and x.sum() == pytest.approx(1.0, abs=1e-12)
     xb, xa, n = samples.xi_b, samples.xi_a, samples.n_samples
@@ -570,7 +570,7 @@ def test_te_l2_is_certified_on_degenerate_inputs(panel):
     # a singular Gram matrix with no ridge, or a single asset
     samples = SampleSet(samples=panel())
     res = te_l2_solve(samples, 0.0)
-    x, value = res.x, res.objective
+    x, value = res.weights, res.objective
     assert res.status == STATUS_CONVERGED
     assert x.min() >= 0.0
     assert abs(x.sum() - 1.0) <= 1e-15

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from drtrack import backtest
+from drtrack import backtest, cli
 from drtrack.backtest import BacktestConfig
 from drtrack.baselines import BaselineParams
 from drtrack.cli import CONFIG_DEFAULTS, UNAVAILABLE_MODELS, main
@@ -115,7 +115,9 @@ def test_solve_scvar_and_te_l2(model_id, quiet_csv, tmp_path, capsys):
     # every model's document holds the fit record, null where the record is None
     keys = {"status", "objective", "alpha", "lower_bound", "gap", "iters", "weights",
             "wall_seconds"}
-    assert keys <= set(doc) and "solve_seconds" not in doc
+    counters = {"smooth_objective", "inner_iters", "outer_iters", "grad_evals", "trials",
+                "residual", "mu_final"}
+    assert set(doc) == keys | counters | {"model"}
     nulls = {"drcvar-l2": {"lower_bound", "gap"}, "drcvar-l1": {"lower_bound", "gap"},
              "te-l2": {"alpha", "iters"}}.get(model_id, set())
     assert {key for key in keys if doc[key] is None} == nulls
@@ -262,6 +264,26 @@ def test_missing_data_file_returns_3(tmp_path, capsys):
     assert main(["solve", "--data", str(tmp_path / "nope.csv"),
                  "--model", "te-l2"]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", "te-l2", "--out", "missing/fit.json"],
+    ["solve", "--model", "scvar-l2", "--trace-out", "missing/trace.csv"],
+    ["backtest", "--model", "te-l2", "--window", "20", "--hold", "10",
+     "--out", "missing/report.json"],
+], ids=["solve-out", "solve-trace-out", "backtest-out"])
+def test_output_into_a_missing_directory_exits_3_before_any_fit(
+    argv, quiet_csv, tmp_path, capsys, monkeypatch
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("solve_model ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "solve_model", no_fit)
+    monkeypatch.setattr(backtest, "solve_model", no_fit)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--data", quiet_csv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "missing" in err
 
 
 @pytest.mark.parametrize("argv", [
