@@ -48,6 +48,7 @@ from .model import (
     AmbiguityParams,
     DualPoint,
     ModelParams,
+    PsiKind,
     SampleSet,
     _check_budget,
     _check_sample_dim,
@@ -155,15 +156,22 @@ def default_start(samples: SampleSet, model: ModelParams) -> DualPoint:
     """Feasible starting point: uniform weights, loss quantile threshold.
 
     ``alpha`` starts at the value-at-risk of the uniform portfolio so
-    the CVaR plus-parts begin on their kink; both multipliers start at
-    zero.
+    the CVaR plus-parts begin on their kink, and ``q`` starts at zero.
+    For squared psi ``lam`` starts at ``w w'`` with ``w = (-x, 1)``:
+    the sup over xi of ``(w'xi)^2 - xi' lam xi`` is finite only when
+    ``lam >= w w'``, and at this start the squared deviation and the
+    quadratic multiplier term cancel sample by sample.  For absolute
+    psi, which grows only linearly in xi, ``lam`` starts at zero.
     """
     d = samples.n_assets
     x = np.full(d, 1.0 / d)
     alpha = var_threshold(x, samples, model.beta)
-    return DualPoint(
-        x=x, alpha=alpha, q=np.zeros(d + 1), lam=np.zeros((d + 1, d + 1))
-    )
+    if model.psi is PsiKind.SQUARED:
+        w = np.append(-x, 1.0)
+        lam = np.outer(w, w)
+    else:
+        lam = np.zeros((d + 1, d + 1))
+    return DualPoint(x=x, alpha=alpha, q=np.zeros(d + 1), lam=lam)
 
 
 def _unit_step(y: np.ndarray, g: np.ndarray, d: int) -> tuple[tuple, float]:

@@ -1,5 +1,7 @@
 """Smoothing projected gradient solver: steps, phases, termination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,17 @@ from drtrack import smoothing
 from drtrack import spg as spg_module
 from drtrack.errors import InvalidInputError, NumericalError
 from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
-from drtrack.model import AmbiguityParams, DualPoint, ModelParams, SampleSet, evaluate_phi_n, var_threshold
+from drtrack.model import (
+    AmbiguityParams,
+    DualPoint,
+    ModelParams,
+    PsiKind,
+    SampleSet,
+    evaluate_phi_n,
+    h_values,
+    portfolio_losses,
+    var_threshold,
+)
 from drtrack.projections import project_feasible
 from drtrack.smoothing import grad_smooth_phi
 from drtrack.spg import (
@@ -45,7 +57,15 @@ def test_default_start_is_feasible_var_threshold():
     nu = default_start(samples, model)
     assert np.allclose(nu.x, 1.0 / 3.0)
     assert nu.alpha == var_threshold(nu.x, samples, model.beta)
-    assert np.all(nu.q == 0.0) and np.all(nu.lam == 0.0)
+    # squared psi: lam starts at w0 w0' with w0 = (-x0, 1)
+    w0 = np.append(-nu.x, 1.0)
+    assert np.all(nu.q == 0.0) and np.array_equal(nu.lam, np.outer(w0, w0))
+    absolute = default_start(samples, replace(model, psi=PsiKind.ABSOLUTE))
+    assert np.all(absolute.q == 0.0) and np.all(absolute.lam == 0.0)
+    # both starts are feasible: the projection leaves them in place
+    for start in (nu, absolute):
+        projected = project_feasible(start)
+        assert np.allclose(projected.to_array(), start.to_array(), rtol=0.0, atol=1e-14)
 
 
 def test_spg_solve_converges_with_real_descent():
@@ -281,6 +301,11 @@ def capped_instance():
 CAPS = SpgParams(max_outer_iters=20, max_inner_per_phase=5)
 
 
+def zero_lam_start(nu):
+    """``nu`` with both multipliers at zero."""
+    return DualPoint(x=nu.x, alpha=nu.alpha, q=np.zeros_like(nu.q), lam=np.zeros_like(nu.lam))
+
+
 def test_spg_spectral_start_saves_line_search_trials():
     res = spg_solve(*capped_instance(), CAPS)
     assert res.inner_iters == 100
@@ -296,6 +321,29 @@ def test_trace_and_phase_objectives_are_views_of_one_log():
     assert len(res.trace) == res.inner_iters + 1
     times = [t for t, _ in res.trace]
     assert all(b >= a for a, b in zip(times, times[1:]))
+
+
+def test_default_start_lam_at_w0w0_beats_a_zero_lam_start():
+    nu, *rest = capped_instance()
+    warm = spg_solve(nu, *rest, CAPS)
+    cold = spg_solve(zero_lam_start(nu), *rest, CAPS)
+    assert warm.inner_iters == cold.inner_iters
+    assert warm.objective <= 0.5 * cold.objective
+
+
+def test_default_start_cancels_the_quadratic_terms_sample_by_sample():
+    panel = gen_synthetic(8, 500, 0)
+    samples = build_sample_set(panel)
+    moments = estimate_moments(panel)
+    amb = AmbiguityParams(
+        mu_hat=moments.mu_hat, sigma_hat=moments.sigma_hat, kappa1=0.1, kappa2=1.0
+    )
+    model = ModelParams(tau1=2e-4, tau2=2e-4, beta=0.95)
+    nu = default_start(samples, model)
+    plus = np.maximum(portfolio_losses(nu.x, samples) - nu.alpha, 0.0)
+    # (w0'xi)^2 - xi' lam0 xi = 0 and q0 = 0: all that is left is the same for every row
+    rest = h_values(nu, samples, amb, model) - model.cvar_coef * plus
+    assert np.ptp(rest) <= 1e-12 * np.abs(rest).max()
 
 
 def run_search(ok, guess):
@@ -364,7 +412,8 @@ def test_search_exponent_steps_to_the_next_exponent_on_non_finite_guesses():
 
 
 def test_bracketed_search_matches_a_scan_in_fewer_trials(monkeypatch):
-    inputs = capped_instance()
+    nu, *rest = capped_instance()
+    inputs = (zero_lam_start(nu), *rest)
     bracketed = spg_solve(*inputs, CAPS, record_trace=True)
     monkeypatch.setattr(spg_module, "_search_exponent", scan_search)
     scanned = spg_solve(*inputs, CAPS, record_trace=True)
