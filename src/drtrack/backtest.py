@@ -33,6 +33,7 @@ from .model import (
     PsiKind,
     _check_budget,
     _checked_radii,
+    _readonly,
 )
 from .spg import SpgParams, default_start, spg_solve
 
@@ -144,15 +145,8 @@ def transition_weights(x_t, gross_returns) -> np.ndarray:
     renormalised by the realised portfolio gross return, so the output
     sums to one by construction.
     """
-    x = np.asarray(x_t, dtype=float)
-    gross = np.asarray(gross_returns, dtype=float)
-    if x.shape != gross.shape or x.ndim != 1:
-        raise InvalidInputError(
-            f"weights and gross returns must be 1-d with equal shapes, "
-            f"got {x.shape} and {gross.shape}"
-        )
-    if not (np.isfinite(x).all() and np.isfinite(gross).all()):
-        raise InvalidInputError("weights and gross returns must be finite")
+    x = _readonly(x_t, "weights", (None,))
+    gross = _readonly(gross_returns, "gross returns", x.shape)
     if gross.min() <= 0.0:
         raise InvalidInputError("gross returns must be positive")
     total = float(gross @ x)
@@ -185,15 +179,6 @@ def _validated_t_bar(panel: ReturnPanel, config: BacktestConfig) -> int:
     return (panel.n_days - config.window) // config.hold
 
 
-def _weights_matrix(weights, t_bar: int, d: int) -> np.ndarray:
-    mat = np.asarray(weights, dtype=float)
-    if mat.shape != (t_bar, d):
-        raise InvalidInputError(
-            f"expected {t_bar} weight vectors of length {d}, got shape {mat.shape}"
-        )
-    return mat
-
-
 def compute_tei(weights, panel: ReturnPanel, config: BacktestConfig) -> float:
     """In-sample tracking error: per-window mean squared daily deviation.
 
@@ -202,7 +187,7 @@ def compute_tei(weights, panel: ReturnPanel, config: BacktestConfig) -> float:
     days; those window means are then averaged over all windows.
     """
     t_bar = _validated_t_bar(panel, config)
-    mat = _weights_matrix(weights, t_bar, panel.n_assets)
+    mat = _readonly(weights, "weights", (t_bar, panel.n_assets))
     total = 0.0
     for t in range(t_bar):
         start = t * config.hold
@@ -222,7 +207,7 @@ def compute_teo(weights, index_gross, asset_gross) -> float:
     t_bar = index_gross.shape[0]
     if t_bar < 1 or asset_gross.shape[0] != t_bar:
         raise InvalidInputError("need matching, non-empty hold-period returns")
-    mat = _weights_matrix(weights, t_bar, asset_gross.shape[1])
+    mat = _readonly(weights, "weights", (t_bar, asset_gross.shape[1]))
     deviation = index_gross - np.sum(asset_gross * mat, axis=1)
     return float(np.mean(np.square(deviation)))
 
@@ -237,7 +222,7 @@ def compute_performance(weights, asset_gross) -> Performance:
     """
     asset_gross = np.asarray(asset_gross, dtype=float)
     t_bar = asset_gross.shape[0]
-    mat = _weights_matrix(weights, t_bar, asset_gross.shape[1])
+    mat = _readonly(weights, "weights", (t_bar, asset_gross.shape[1]))
     if t_bar < 2:
         return Performance(None, None, None)
     portfolio = np.sum(asset_gross * mat, axis=1)

@@ -28,7 +28,7 @@ from .model import (
     _finite_float,
     _loss_quantile,
     _readonly,
-    psi_value,
+    _scvar_value,
     var_threshold,
 )
 from .projections import _simplex, project_simplex
@@ -74,17 +74,6 @@ def scvar_objective(x, alpha, samples: SampleSet, model: ModelParams) -> float:
     x = _readonly(x, "x", (samples.n_assets,))
     alpha = _finite_float(alpha, "alpha")
     return _scvar_value(x, alpha, -(samples.xi_b @ x), samples.xi_a, model)
-
-
-def _scvar_value(x, alpha, losses, xi_a, model: ModelParams) -> float:
-    """:func:`scvar_objective` from the losses ``-(xi_b @ x)``, unchecked."""
-    n = losses.shape[0]
-    return (
-        float(psi_value(xi_a + losses, model.psi).sum()) / n
-        + model.tau1 * float(x @ x)
-        + model.tau2 * float(alpha)
-        + model.cvar_coef * (float(np.maximum(losses - alpha, 0.0).sum()) / n)
-    )
 
 
 def _smoothed_threshold(losses: np.ndarray, alpha: float, mu: float, beta: float):

@@ -81,7 +81,10 @@ def _typed(key: str, value):
     if isinstance(value, bool) or not isinstance(value, allowed):
         kind = "an integer" if isinstance(default, int) else "a number"
         raise InvalidInputError(f"{key} must be {kind}, got {value!r}")
-    return type(default)(value)
+    try:
+        return type(default)(value)
+    except OverflowError:
+        raise InvalidInputError(f"{key} must be a number within the float range") from None
 
 
 def _effective_config(args: argparse.Namespace) -> dict[str, object]:
@@ -97,7 +100,7 @@ def _effective_config(args: argparse.Namespace) -> dict[str, object]:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise DataError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or a too-long integer
             raise InvalidInputError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InvalidInputError(f"config file {path} must hold a JSON object")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidInputError, NumericalError
-from .model import SampleSet, _check_budget
+from .model import SampleSet, _check_budget, _readonly
 
 __all__ = [
     "ReturnPanel",
@@ -128,14 +128,8 @@ class MomentEstimate:
     jitter: float
 
     def __post_init__(self) -> None:
-        mu = np.array(self.mu_hat, dtype=float, copy=True)
-        sig = np.array(self.sigma_hat, dtype=float, copy=True)
-        if mu.ndim != 1 or sig.shape != (mu.shape[0], mu.shape[0]):
-            raise InvalidInputError(
-                f"inconsistent moment shapes {mu.shape} and {sig.shape}"
-            )
-        mu.setflags(write=False)
-        sig.setflags(write=False)
+        mu = _readonly(self.mu_hat, "mu_hat", (None,))
+        sig = _readonly(self.sigma_hat, "sigma_hat", (mu.shape[0], mu.shape[0]))
         object.__setattr__(self, "mu_hat", mu)
         object.__setattr__(self, "sigma_hat", sig)
         object.__setattr__(self, "jitter", float(self.jitter))
@@ -231,48 +225,52 @@ def save_returns_csv(panel: ReturnPanel, path) -> None:
 
 
 def load_returns_csv(path) -> ReturnPanel:
-    """Parse a returns CSV, naming the row and column of a parse error.
+    """Parse a UTF-8 returns CSV, naming the row and column of a parse error.
 
-    :class:`ReturnPanel` validates the result; its errors come back as a
-    :class:`DataError` naming the file.
+    A leading byte-order mark is skipped.  :class:`ReturnPanel` validates
+    the result; its errors come back as a :class:`DataError` naming the
+    file, and so does a file that is not UTF-8.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, missing header") from None
-        if len(header) < 3 or header[0] != "date" or header[1] != "index":
-            raise DataError(
-                f"{path}: header must be 'date,index,<asset names>', got {header!r}"
-            )
-        dates: list[date] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
-                )
+    try:
+        with path.open("r", newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
             try:
-                if not _ISO_DATE.fullmatch(row[0]):
-                    raise ValueError
-                dates.append(date.fromisoformat(row[0]))
-            except ValueError:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, missing header") from None
+            if len(header) < 3 or header[0] != "date" or header[1] != "index":
                 raise DataError(
-                    f"{path}: row {lineno} column 'date': not an ISO date: {row[0]!r}"
-                ) from None
-            values: list[float] = []
-            for col, cell in zip(header[1:], row[1:]):
+                    f"{path}: header must be 'date,index,<asset names>', got {header!r}"
+                )
+            dates: list[date] = []
+            rows: list[list[float]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
+                    )
                 try:
-                    values.append(float(cell))
+                    if not _ISO_DATE.fullmatch(row[0]):
+                        raise ValueError
+                    dates.append(date.fromisoformat(row[0]))
                 except ValueError:
                     raise DataError(
-                        f"{path}: row {lineno} column {col!r}: not a number: {cell!r}"
+                        f"{path}: row {lineno} column 'date': not an ISO date: {row[0]!r}"
                     ) from None
-            rows.append(values)
+                values: list[float] = []
+                for col, cell in zip(header[1:], row[1:]):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {lineno} column {col!r}: not a number: {cell!r}"
+                        ) from None
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     table = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
     try:
         return ReturnPanel(

@@ -318,19 +318,25 @@ def evaluate_khat(x, alpha, xi, model: ModelParams) -> float:
     """Per-scenario objective: tracking penalty, CVaR excess, and ridge.
 
     Computes ``psi(xi_a - xi_b @ x) + tau2/(1-beta) * max(-x @ xi_b - alpha, 0)
-    + tau1 * ||x||^2 + tau2 * alpha`` for one joint sample ``xi``.
+    + tau1 * ||x||^2 + tau2 * alpha`` for one joint sample ``xi``, as the
+    one-row mean that ``scvar_objective`` takes over all rows.
     """
     x = _readonly(x, "x", (None,))
     alpha = _finite_float(alpha, "alpha")
     xi = _readonly(xi, "xi", (None,))
     _check_sample_dim(xi.shape[0], x.shape[0], "xi")
-    xi_b, xi_a = xi[:-1], xi[-1]
-    loss = -float(xi_b @ x)
-    c = float(xi_a) + loss  # xi_a - x @ xi_b
-    value = float(psi_value(c, model.psi))
-    value += model.cvar_coef * max(loss - alpha, 0.0)
-    value += model.tau1 * float(x @ x) + model.tau2 * alpha
-    return value
+    return _scvar_value(x, alpha, -(xi[None, :-1] @ x), xi[-1:], model)
+
+
+def _scvar_value(x, alpha, losses, xi_a, model: ModelParams) -> float:
+    """Mean of :func:`evaluate_khat` over the rows with losses ``-(xi_b @ x)``, unchecked."""
+    n = losses.shape[0]
+    return (
+        float(psi_value(xi_a + losses, model.psi).sum()) / n
+        + model.tau1 * float(x @ x)
+        + model.tau2 * float(alpha)
+        + model.cvar_coef * (float(np.maximum(losses - alpha, 0.0).sum()) / n)
+    )
 
 
 def _moment(amb: AmbiguityParams) -> np.ndarray:

@@ -101,9 +101,7 @@ def _logistic(t: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 def smooth_abs(a, mu):
     """Smooth absolute value ``sqrt(a^2 + mu)``, elementwise."""
-    mu = _mu_value(mu)
-    out = _psi(np.asarray(a, dtype=float), mu, PsiKind.ABSOLUTE)
-    return float(out) if out.ndim == 0 else out
+    return smooth_psi(a, mu, PsiKind.ABSOLUTE)
 
 
 def smooth_psi(c, mu, kind: PsiKind):

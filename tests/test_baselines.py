@@ -20,7 +20,7 @@ from drtrack.baselines import (
 )
 from drtrack.data import build_sample_set, gen_synthetic
 from drtrack.errors import InvalidInputError
-from drtrack.model import ModelParams, PsiKind, SampleSet, var_threshold
+from drtrack.model import ModelParams, PsiKind, SampleSet, evaluate_khat, var_threshold
 from drtrack.projections import project_simplex
 from drtrack.smoothing import _plus_and_tail, smooth_psi
 from drtrack.spg import STATUS_CONVERGED, STATUS_ITERATION_CAP
@@ -47,6 +47,19 @@ def test_scvar_objective_matches_reference():
             )
     with pytest.raises(InvalidInputError):
         scvar_objective(np.ones(3), 0.0, samples, model)
+
+
+def test_scvar_objective_is_the_mean_of_khat_over_the_rows():
+    # the nominal objective and the per-scenario loss the robust objective bounds
+    samples = build_sample_set(gen_synthetic(6, 200, 3))
+    rng = np.random.default_rng(11)
+    points = [(np.full(6, 1.0 / 6.0), 0.0), (rng.dirichlet(np.ones(6)), 0.01),
+              (np.eye(6)[2], -0.02)]
+    for kind in (PsiKind.SQUARED, PsiKind.ABSOLUTE):
+        model = ModelParams(psi=kind)
+        for x, alpha in points:
+            mean = np.mean([evaluate_khat(x, alpha, row, model) for row in samples.samples])
+            assert mean == pytest.approx(scvar_objective(x, alpha, samples, model), rel=1e-14)
 
 
 def test_scvar_solve_improves_on_start_and_stays_feasible():

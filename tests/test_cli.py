@@ -237,6 +237,31 @@ def test_config_errors(market_csv, tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_config_files_that_cannot_be_read_as_json_numbers_exit_2(market_csv, tmp_path, capsys):
+    args = ["solve", "--data", market_csv, "--model", "te-l2", "--config"]
+    cases = {
+        # an integer too large for a float key
+        "model.tau1": b'{"model.tau1": 1' + b"0" * 400 + b"}",
+        # a byte that is not UTF-8, and an integer past Python's 4300-digit limit
+        "is not valid JSON": b'{"model.tau1": 0.001}\xe9',
+        "4300 digits": b'{"baseline.max_iters": ' + b"9" * 5000 + b"}",
+    }
+    for label, content in cases.items():
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        capsys.readouterr()
+        assert main(args + [str(config)]) == 2, label
+        err = capsys.readouterr().err
+        assert label in err and "Traceback" not in err
+
+
+def test_data_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("date,index,café\n2021-01-01,0,0\n2021-01-02,0,0\n".encode("latin-1"))
+    assert main(["solve", "--data", str(path), "--model", "te-l2"]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
 def without_timing(doc):
     timing = {"wall_seconds", "solve_seconds", "cpu_seconds"}
     if isinstance(doc, dict):

@@ -1,5 +1,7 @@
 """Return panels, CSV serialization, moment estimates, scenario sets."""
 
+import codecs
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from drtrack.data import (
     GaussianMC,
     Historical,
+    MomentEstimate,
     ReturnPanel,
     build_sample_set,
     estimate_moments,
@@ -204,6 +207,32 @@ def test_load_rejects_malformed_files(tmp_path):
             load_returns_csv(write_csv(tmp_path, text))
 
 
+def test_load_accepts_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one; the writer adds none
+    panel = make_panel()
+    path = tmp_path / "plain.csv"
+    save_returns_csv(panel, path)
+    assert not path.read_bytes().startswith(codecs.BOM_UTF8)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    back = load_returns_csv(marked)
+    assert back.dates == panel.dates and back.asset_names == panel.asset_names
+    assert np.array_equal(back.index_returns, panel.index_returns)
+    assert np.array_equal(back.asset_returns, panel.asset_returns)
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("date,index,café\n2021-01-01,0,0\n2021-01-02,0,0\n".encode("latin-1"))
+    # a bad byte past the reader's first block of the file
+    late = tmp_path / "late.csv"
+    save_returns_csv(gen_synthetic(d=3, n_days=400, seed=1), late)
+    late.write_bytes(late.read_bytes() + b"2011-02-05,0,0,0,0\xe9\n")
+    for path in (latin1, late):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_returns_csv(path)
+
+
 def test_estimate_moments_matches_numpy():
     panel = gen_synthetic(d=3, n_days=60, seed=5)
     est = estimate_moments(panel, start=10, stop=50)
@@ -212,6 +241,17 @@ def test_estimate_moments_matches_numpy():
     assert est.sigma_hat == pytest.approx(np.cov(block.T, bias=True), rel=1e-12)
     assert not est.repaired and est.jitter == 0.0
     assert np.linalg.eigvalsh(est.sigma_hat).min() > 0.0
+
+
+def test_moment_estimate_rejects_non_finite_moments():
+    sigma = np.eye(2)
+    with pytest.raises(InvalidInputError, match="^mu_hat contains non-finite"):
+        MomentEstimate(np.array([0.0, np.inf]), sigma, False, 0.0)
+    sigma[0, 1] = sigma[1, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="^sigma_hat contains non-finite"):
+        MomentEstimate(np.zeros(2), sigma, False, 0.0)
+    with pytest.raises(InvalidInputError, match="^sigma_hat must have shape"):
+        MomentEstimate(np.zeros(2), np.eye(3), False, 0.0)
 
 
 def test_estimate_moments_repairs_degenerate_windows():
