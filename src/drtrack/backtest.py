@@ -202,8 +202,8 @@ def compute_tei(weights, panel: ReturnPanel, config: BacktestConfig) -> float:
 
 def compute_teo(weights, index_gross, asset_gross) -> float:
     """Out-of-sample tracking error over hold-period gross returns."""
-    index_gross = np.asarray(index_gross, dtype=float)
-    asset_gross = np.asarray(asset_gross, dtype=float)
+    index_gross = _readonly(index_gross, "index gross returns", (None,))
+    asset_gross = _readonly(asset_gross, "asset gross returns", (None, None))
     t_bar = index_gross.shape[0]
     if t_bar < 1 or asset_gross.shape[0] != t_bar:
         raise InvalidInputError("need matching, non-empty hold-period returns")
@@ -220,7 +220,7 @@ def compute_performance(weights, asset_gross) -> Performance:
     ratio undefined.  Turnover compares each window's weights with the
     previous window's passively drifted weights.
     """
-    asset_gross = np.asarray(asset_gross, dtype=float)
+    asset_gross = _readonly(asset_gross, "asset gross returns", (None, None))
     t_bar = asset_gross.shape[0]
     mat = _readonly(weights, "weights", (t_bar, asset_gross.shape[1]))
     if t_bar < 2:

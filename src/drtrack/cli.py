@@ -97,7 +97,7 @@ def _effective_config(args: argparse.Namespace) -> dict[str, object]:
     path = getattr(args, "config", None)
     if path is not None:
         try:
-            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             raise DataError(f"cannot read config file {path}: {exc}") from exc
         except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or a too-long integer

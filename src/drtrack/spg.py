@@ -10,12 +10,11 @@ small, or when iteration budgets are exhausted.  The first step of a
 phase tries ``alpha0`` first; every later step first tries the
 Barzilai-Borwein (spectral) step of the previous one, clipped to the
 line search's range.  From that first step ``t0`` the line search looks
-for an exponent ``j`` on the grid ``t0 * rho**j``, ``j = 0..60``: it
-brackets ``j`` between a failing and a passing trial, rather than
-halving one trial at a time, guessing after each failure from a
-quadratic model (and after the first failure also from the previous
-accepted step), and accepts a step that passes the Armijo test while
-the next larger grid step fails.
+for an exponent ``j`` on the grid ``t0 * rho**j``, ``j = 0..60``: after
+each failure it jumps ahead to the exponent a quadratic model guesses,
+rather than halving one trial at a time, then steps back from the first
+pass, and accepts a step that passes the Armijo test while the next
+larger grid step fails.
 
 :func:`spg_solve` validates and projects the start point once on
 entry and builds one :class:`DualPoint` on exit.  In between it works
@@ -203,57 +202,40 @@ def _spectral_step(s: np.ndarray, r: np.ndarray, alpha0: float) -> float:
 
 
 def _search_exponent(passes, guess) -> int | None:
-    """The accepted exponent ``j`` in ``0..max_backtracks``, found by bracketing.
+    """The accepted exponent ``j`` in ``0..max_backtracks``, or None if every trial failed.
 
-    ``passes(j)`` runs trial ``j`` and reports whether it passed;
-    ``guess(j)``, asked after trial ``j`` failed before any trial
-    passed, proposes a real exponent for the next trial.  The search
-    tries ``j = 0`` first and keeps ``lo``, the largest failing ``j``,
-    and ``hi``, the smallest passing one.  Until a trial passes, the
-    next one is ``floor(guess)``, but at least ``lo + 1`` (exactly
-    ``lo + 1`` when the guess is not finite) and at most
-    ``max_backtracks``.  Then it tests ``hi - 1``, first right after the
-    first pass and later while ``hi - lo <= 3``, and bisects otherwise,
-    until ``hi - lo == 1``.  No ``j`` runs twice.  The returned ``j``
-    passes and ``j - 1`` failed, or ``j = 0``; when acceptance is
-    monotone in ``j`` that is the ``j`` a scan from 0 finds, and a guess
-    that never passes it costs no more trials than the scan.  None
-    means every trial up to ``max_backtracks`` that ran failed, that one
-    last.
+    ``passes(j)`` runs trial ``j``; ``guess(j)``, asked after trial ``j``
+    failed before any pass, proposes a real exponent.  From ``j = 0``,
+    while trials fail, the next is ``floor(guess)``, at least one past
+    the last failure (exactly that for a non-finite guess) and at most
+    ``max_backtracks``, whose failure ends the search.  From the first
+    pass the search steps back one exponent at a time while the trial
+    below passes and is not the last failure.  No ``j`` runs twice.  The
+    returned ``j`` passes and ``j - 1`` failed, or ``j = 0``: under
+    acceptance monotone in ``j``, the ``j`` a scan from 0 finds.
     """
-    lo, hi, j = -1, None, 0
-    while True:
-        if passes(j):
-            first_pass, hi = hi is None, j
-        else:
-            first_pass, lo = False, j
-            if hi is None:
-                if j == _MAX_BACKTRACKS:
-                    return None
-                e = guess(j)
-                j = lo + 1 if not math.isfinite(e) else min(
-                    max(lo + 1, math.floor(e)), _MAX_BACKTRACKS
-                )
-                continue
-        if hi - lo == 1:
-            return hi
-        j = hi - 1 if first_pass or hi - lo <= 3 else (lo + hi) // 2
+    lo, j = -1, 0
+    while not passes(j):
+        if j == _MAX_BACKTRACKS:
+            return None
+        lo, e = j, guess(j)
+        j = lo + 1 if not math.isfinite(e) else min(max(lo + 1, math.floor(e)), _MAX_BACKTRACKS)
+    while j - 1 > lo and passes(j - 1):
+        j -= 1
+    return j
 
 
 def _armijo_flat(
     y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, mu: float, kern: _Kernel,
-    k: int, projected: tuple | None, last_step: float | None,
+    k: int, projected: tuple | None,
 ) -> tuple[np.ndarray, _Smoothed | None, float | None, int]:
     """Flat Armijo step on the grid ``stepsize * rho**j``: ``(point, smoothed, step, trials)``.
 
     The exponent ``j`` comes from :func:`_search_exponent`.  After a
     failed trial the guess is the minimiser of the quadratic through
-    ``f(y)``, the path slope ``g'(cand - y)`` and the trial value; after
-    trial 0 it is also no larger a step than ``last_step``, the solve's
-    previous accepted step, if any, since a phase's first trial
-    ``alpha0`` often lies many halvings above it.  The accepted step
-    passes the Armijo test and the one before it on the grid failed,
-    unless it is the first.  ``projected``, when given, is the
+    ``f(y)``, the path slope ``g'(cand - y)`` and the trial value.  The
+    accepted step passes the Armijo test and the one before it on the
+    grid failed, unless it is the first.  ``projected``, when given, is the
     projection ``(point, factor)`` of ``y - stepsize * g``, which the
     caller already holds; it is trial 0.  ``smoothed`` is the kernel
     result at the accepted point, or None after a stall, when the point
@@ -285,8 +267,6 @@ def _armijo_flat(
         if not (math.isfinite(curvature) and curvature > 0.0):
             return math.nan
         ratio = -slope / (2.0 * curvature) * _RHO**j  # t_q / stepsize
-        if j == 0 and last_step is not None:
-            ratio = min(ratio, last_step / stepsize)
         return math.log(ratio) / log_rho if ratio > 0.0 else math.nan
 
     j = _search_exponent(passes, guess)
@@ -332,7 +312,6 @@ def spg_solve(
     inner_total = 0
     trials = 0
     consecutive_stalls = 0
-    stepsize = None  # the last accepted step; it guides the next line search
     status = STATUS_ITERATION_CAP
     # (seconds, smoothed objective) pairs: a list for the start, then one per phase
     log: list[list[tuple[float, float]]] | None = [[]] if record_trace else None
@@ -372,7 +351,7 @@ def spg_solve(
                 # P(y - 1.0 * g) is the unit step that the residual projected
                 projected = unit if j == 1 and first == 1.0 else None
                 y_next, trial, stepsize, evaluations = _armijo_flat(
-                    y, at.value, g, first, mu_k, kern, k, projected, stepsize
+                    y, at.value, g, first, mu_k, kern, k, projected
                 )
                 trials += evaluations
                 # a first step that cannot move the point fails like a line search

@@ -142,6 +142,16 @@ def test_tracking_errors_match_references():
         compute_teo(mat[:-1], index_gross, asset_gross)
 
 
+def test_hold_period_metrics_reject_non_finite_gross_returns():
+    mat = np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(InvalidInputError, match="index gross returns"):
+        compute_teo(mat, [1.0, np.nan], np.ones((2, 3)))
+    with pytest.raises(InvalidInputError, match="asset gross returns"):
+        compute_teo(mat, [1.0, 1.0], [[1.0, 1.0, 1.0], [1.0, np.inf, 1.0]])
+    with pytest.raises(InvalidInputError, match="asset gross returns"):
+        compute_performance(mat, [[1.0, 1.0, 1.0], [1.0, 1.0, np.nan]])
+
+
 def test_performance_hand_case():
     weights = np.array([[1.0], [1.0]])
     asset_gross = np.array([[1.01], [1.03]])

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, config precedence, exit codes."""
 
+import codecs
 import json
 import subprocess
 import sys
@@ -253,6 +254,16 @@ def test_config_files_that_cannot_be_read_as_json_numbers_exit_2(market_csv, tmp
         assert main(args + [str(config)]) == 2, label
         err = capsys.readouterr().err
         assert label in err and "Traceback" not in err
+
+
+def test_config_file_with_a_byte_order_mark_is_read(market_csv, tmp_path, capsys):
+    config = tmp_path / "bom.json"
+    config.write_bytes(codecs.BOM_UTF8 + b'{"model.tau1": 0.001}')
+    argv = ["solve", "--data", market_csv, "--model", "te-l2"]
+    rc, configured = run_json(capsys, argv + ["--config", str(config)])
+    rc2, flagged = run_json(capsys, argv + ["--tau1", "0.001"])
+    assert rc == 0 and rc2 == 0
+    assert without_timing(configured) == without_timing(flagged)
 
 
 def test_data_file_that_is_not_utf8_exits_3(tmp_path, capsys):

@@ -411,17 +411,24 @@ def test_search_exponent_steps_to_the_next_exponent_on_non_finite_guesses():
     assert run_search(ok, lambda j: -3.0)[1][:2] == [0, 1]
 
 
+def test_search_exponent_steps_back_one_exponent_at_a_time():
+    # forward to the guess, then back from the first pass until a trial fails
+    ok = [j >= 5 for j in range(61)]
+    assert run_search(ok, lambda j: 9.0) == (5, [0, 9, 8, 7, 6, 5, 4])
+
+
 def test_bracketed_search_matches_a_scan_in_fewer_trials(monkeypatch):
     nu, *rest = capped_instance()
-    inputs = (zero_lam_start(nu), *rest)
-    bracketed = spg_solve(*inputs, CAPS, record_trace=True)
+    # from Lambda0 = 0 and from the default start Lambda0 = w0 w0'
+    starts = (zero_lam_start(nu), nu)
+    searched = [spg_solve(start, *rest, CAPS, record_trace=True) for start in starts]
     monkeypatch.setattr(spg_module, "_search_exponent", scan_search)
-    scanned = spg_solve(*inputs, CAPS, record_trace=True)
-    assert bracketed.nu.to_array().tobytes() == scanned.nu.to_array().tobytes()
-    for name in ("objective", "smooth_objective", "residual", "mu_final", "outer_iters",
-                 "inner_iters", "grad_evals", "status", "phase_objectives"):
-        assert getattr(bracketed, name) == getattr(scanned, name), name
-    assert [v for _, v in bracketed.trace] == [v for _, v in scanned.trace]
-    assert scanned.trials == 135
-    # without the previous accepted step as a guess the search makes 122
-    assert bracketed.trials == 118
+    scans = [spg_solve(start, *rest, CAPS, record_trace=True) for start in starts]
+    for bracketed, scanned in zip(searched, scans):
+        assert bracketed.nu.to_array().tobytes() == scanned.nu.to_array().tobytes()
+        for name in ("objective", "smooth_objective", "residual", "mu_final", "outer_iters",
+                     "inner_iters", "grad_evals", "status", "phase_objectives"):
+            assert getattr(bracketed, name) == getattr(scanned, name), name
+        assert [v for _, v in bracketed.trace] == [v for _, v in scanned.trace]
+    assert [r.trials for r in scans] == [135, 143]
+    assert [r.trials for r in searched] == [122, 120]
