@@ -38,7 +38,7 @@ from .model import (
     _readonly,
     check_moment_feasibility,
 )
-from .spg import SpgParams, _spg, default_start
+from .spg import SpgParams, _spg, _start
 from .spg import spg_solve  # noqa: F401  (a trace target of perfbench/layers.py)
 
 __all__ = [
@@ -253,10 +253,13 @@ def solve_model(
 
     ``scvar-*`` runs :func:`scvar_solve` from ``x0`` (uniform weights if
     None) and ``te-l2`` :func:`te_l2_solve`, which records no trace, and
-    their records are returned as they are; ``drcvar-*`` builds one
-    :class:`~drtrack.model.Problem` from the rows and their moments and
-    runs :func:`spg_solve` on it from :func:`default_start`, whose
-    result fills the record with the bound of :func:`_floor`.  Only
+    their records are returned as they are.  ``drcvar-*`` builds one
+    :class:`~drtrack.model.Problem` from the rows and their moments,
+    runs one cold :func:`scvar_solve` on the same rows and model under
+    ``config.baseline``, and runs :func:`spg_solve` on the record from
+    that fit's weights, by the rule of :func:`~drtrack.spg.default_start`
+    (:func:`drtrack.spg._start`).  The SPG result fills the record, with
+    the bound that :func:`_floor` reads off the ``scvar`` fit.  Only
     ``scvar-*`` takes an ``x0``.  Every fit's ``solve_seconds`` is then
     reset to run from building the samples to the end of its solvers.
     """
@@ -278,8 +281,9 @@ def solve_model(
             kappa2=config.kappa2,
         )
         problem = Problem(samples, amb, model)
-        result = _spg(default_start(samples, model), problem, config.spg, record_trace)
-        lower, gap = _floor(problem, result.objective, config.baseline)
+        base = scvar_solve(samples, model, config.baseline)
+        result = _spg(_start(base.weights, samples, model), problem, config.spg, record_trace)
+        lower, gap = _floor(problem, result.objective, base)
         fit = ModelFit(
             weights=result.nu.x, status=result.status, objective=result.objective,
             alpha=result.nu.alpha, lower_bound=lower, gap=gap, iters=result.inner_iters,
@@ -290,22 +294,23 @@ def solve_model(
 
 
 def _floor(
-    problem: Problem, objective: float, params: BaselineParams
+    problem: Problem, objective: float, base: ModelFit
 ) -> tuple[float | None, float | None]:
     """``(lower_bound, gap)`` of a robust fit whose objective is ``objective``.
 
+    ``base`` is the :func:`scvar_solve` fit on the same rows and model.
     When the samples' empirical distribution lies in the ambiguity set,
     as it does for the rows' own moments and ``kappa2 >= 1``, every
     point's robust objective is at least its sample-average one, so the
-    lower bound that :func:`scvar_solve` certifies on the same rows
-    bounds the robust optimum from below.  The gap has the divisor of
-    ``scvar-*``.  Both are None when the premise fails.
+    lower bound that ``base`` certifies bounds the robust optimum from
+    below.  The gap has the divisor of ``scvar-*``.  Both are None when
+    the premise fails.
     """
     samples, tau1 = problem.samples, problem.model.tau1
     empirical = DiscreteDistribution.uniform(samples.n_samples)
     if not check_moment_feasibility(empirical, samples, problem.amb).feasible:
         return None, None
-    lower = scvar_solve(samples, problem.model, params).lower_bound
+    lower = base.lower_bound
     return lower, (objective - lower) / max(abs(objective), _gap_floor(samples, tau1))
 
 
@@ -394,7 +399,8 @@ def run_backtest(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
     Fitting touches only the current window's rows; every metric over
     the hold periods uses rows strictly after the fitted window.  Each
     ``scvar-*`` window after the first starts from the previous window's
-    weights; the other models, and the first window, start cold.  The
+    weights; the other models, and the first window, start cold, a
+    ``drcvar-*`` window at its own cold ``scvar-*`` fit.  The
     cold ``drcvar-*`` windows are fitted in forked worker processes, one
     per usable CPU up to ``t_bar``, when there are at least two.  Each
     window's hold period is priced here, from :func:`hold_gross_returns`.

@@ -32,7 +32,7 @@ from .model import (
     var_threshold,
 )
 from .projections import _simplex, project_simplex
-from .smoothing import _logistic, _smooth_psi_prime, smooth_psi
+from .smoothing import _logistic, _smooth_psi_prime, _tail, smooth_psi
 
 __all__ = [
     "BaselineParams",
@@ -92,7 +92,7 @@ def _smoothed_threshold(losses: np.ndarray, alpha: float, mu: float, beta: float
     alpha = min(max(alpha, lo), hi)
     for step in range(_THRESHOLD_STEPS):
         z = losses - alpha
-        tail = np.exp(-np.abs(z) / mu)
+        tail = _tail(z, mu)
         sig = _logistic(z, tail)
         total = float(sig.sum())
         excess = total / n - (1.0 - beta)

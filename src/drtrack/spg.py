@@ -154,18 +154,27 @@ class SolveResult:
 
 
 def default_start(samples: SampleSet, model: ModelParams) -> DualPoint:
-    """Feasible starting point: uniform weights, loss quantile threshold.
+    """Feasible starting point: :func:`_start` at uniform weights.
 
-    ``alpha`` starts at the value-at-risk of the uniform portfolio so
-    the CVaR plus-parts begin on their kink, and ``q`` starts at zero.
-    For squared psi ``lam`` starts at ``w w'`` with ``w = (-x, 1)``:
-    the sup over xi of ``(w'xi)^2 - xi' lam xi`` is finite only when
+    :func:`spg_solve` callers start here; a ``drcvar-*`` fit of
+    :func:`drtrack.backtest.solve_model` starts :func:`_start` at the
+    weights of its own ``scvar-*`` fit instead.
+    """
+    return _start(np.full(samples.n_assets, 1.0 / samples.n_assets), samples, model)
+
+
+def _start(x: np.ndarray, samples: SampleSet, model: ModelParams) -> DualPoint:
+    """The dual point that starts the SPG at the portfolio weights ``x``.
+
+    ``alpha`` starts at the value-at-risk of ``x`` so the CVaR
+    plus-parts begin on their kink, and ``q`` starts at zero.  For
+    squared psi ``lam`` starts at ``w w'`` with ``w = (-x, 1)``: the
+    sup over xi of ``(w'xi)^2 - xi' lam xi`` is finite only when
     ``lam >= w w'``, and at this start the squared deviation and the
     quadratic multiplier term cancel sample by sample.  For absolute
     psi, which grows only linearly in xi, ``lam`` starts at zero.
     """
     d = samples.n_assets
-    x = np.full(d, 1.0 / d)
     alpha = var_threshold(x, samples, model.beta)
     if model.psi is PsiKind.SQUARED:
         w = np.append(-x, 1.0)

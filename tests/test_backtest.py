@@ -34,7 +34,7 @@ from drtrack.model import (
     AmbiguityParams, ModelFit, ModelParams, Problem, PsiKind, evaluate_phi_n,
 )
 from drtrack.projections import project_feasible
-from drtrack.spg import SpgParams
+from drtrack.spg import SpgParams, default_start, spg_solve
 
 
 MODEL = ModelParams(tau1=1e-4, tau2=2e-4, beta=0.9)
@@ -554,7 +554,7 @@ def test_the_floor_lies_under_the_dual_objective_at_feasible_points(model_id, d,
 
 def test_the_floor_lies_under_a_subgradient_oracle():
     samples, amb, model = tracking_instance(0)
-    lower, gap = backtest._floor(Problem(samples, amb, model), 1.0, BaselineParams())
+    lower, gap = backtest._floor(Problem(samples, amb, model), 1.0, scvar_solve(samples, model))
     assert lower is not None and 0.0 <= gap <= 1.0
     # every iterate of the oracle is feasible, so a short run bounds from above too
     assert lower <= oracles.subgradient_oracle(samples, amb, model, iters=2000)
@@ -568,6 +568,50 @@ def test_the_floor_is_null_when_the_empirical_distribution_leaves_the_set():
     assert fit.lower_bound is None and fit.gap is None
     assert fit.to_dict()["lower_bound"] is None
     assert solve_model(panel, 0, 40, capped_drcvar("drcvar-l2")).lower_bound is not None
+
+
+@pytest.mark.parametrize("kappa2", [1.0, 0.5])
+def test_a_robust_fit_starts_at_its_one_scvar_fit(kappa2, monkeypatch):
+    panel = gen_synthetic(3, 60, 1)
+    config = dataclasses.replace(capped_drcvar("drcvar-l2"), kappa2=kappa2)
+    fits, starts = [], []
+    solve, spg = backtest.scvar_solve, backtest._spg
+
+    def counted(*args, **kwargs):
+        fits.append(solve(*args, **kwargs))
+        return fits[-1]
+
+    def started(nu0, *args):
+        starts.append(nu0)
+        return spg(nu0, *args)
+
+    monkeypatch.setattr(backtest, "scvar_solve", counted)
+    monkeypatch.setattr(backtest, "_spg", started)
+    fit = solve_model(panel, 0, 40, config)
+    assert len(fits) == len(starts) == 1
+    assert starts[0].x.tobytes() == fits[0].weights.tobytes()
+    # the floor is that fit's certified bound while the premise holds
+    if kappa2 == 1.0:
+        assert fit.lower_bound == fits[0].lower_bound is not None
+    else:
+        assert fit.lower_bound is None and fit.gap is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_scvar_start_lowers_every_capped_robust_window(seed):
+    # the same capped SPG from default_start, on the same rows, ends higher
+    panel = gen_synthetic(8, 752, seed)
+    caps = SpgParams(max_outer_iters=20, max_inner_per_phase=5)
+    config = BacktestConfig("drcvar-l2", ModelParams(), window=500, hold=21, spg=caps)
+    report = run_backtest(panel, config)
+    assert report.t_bar == 12
+    for w in report.windows:
+        start = (w.t - 1) * config.hold
+        samples = build_sample_set(panel, start, start + config.window)
+        moments = estimate_moments(panel, start, start + config.window)
+        amb = AmbiguityParams(moments.mu_hat, moments.sigma_hat, config.kappa1, config.kappa2)
+        cold = spg_solve(default_start(samples, config.model), samples, amb, config.model, caps)
+        assert w.objective < cold.objective
 
 
 def test_max_gap_is_the_worst_window_gap_or_null():

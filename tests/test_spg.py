@@ -30,6 +30,7 @@ from drtrack.spg import (
     SpgParams,
     _search_exponent,
     _spectral_step,
+    _start,
     _unit_step,
     default_start,
     spg_solve,
@@ -321,6 +322,21 @@ def test_trace_and_phase_objectives_are_views_of_one_log():
     assert len(res.trace) == res.inner_iters + 1
     times = [t for t, _ in res.trace]
     assert all(b >= a for a, b in zip(times, times[1:]))
+
+
+def test_default_start_is_the_start_at_uniform_weights():
+    for seed, psi in [(0, PsiKind.SQUARED), (1, PsiKind.ABSOLUTE)]:
+        samples, _, model = tracking_instance(seed)
+        model = replace(model, psi=psi)
+        uniform = np.full(samples.n_assets, 1.0 / samples.n_assets)
+        nu = default_start(samples, model)
+        assert nu.to_array().tobytes() == _start(uniform, samples, model).to_array().tobytes()
+    # at other weights the same rule: threshold at their loss quantile, lam = w w'
+    x = np.array([0.5, 0.3, 0.2])
+    nu = _start(x, samples, replace(model, psi=PsiKind.SQUARED))
+    w = np.append(-x, 1.0)
+    assert nu.alpha == var_threshold(x, samples, model.beta)
+    assert np.array_equal(nu.lam, np.outer(w, w)) and not nu.q.any()
 
 
 def test_default_start_lam_at_w0w0_beats_a_zero_lam_start():
