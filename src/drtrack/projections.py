@@ -8,6 +8,8 @@ the product is blockwise.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -32,16 +34,27 @@ def project_simplex(v) -> np.ndarray:
 
 
 def _simplex(v: np.ndarray) -> np.ndarray:
-    """:func:`project_simplex` of a finite, non-empty 1-d float array, unchecked."""
+    """:func:`project_simplex` of a finite, non-empty 1-d float array, unchecked.
+
+    The threshold is found on Python floats: at the solver's sizes (d of
+    8 to 30) a dozen numpy calls on a few numbers cost more than the
+    arithmetic.  The bits are those of the same rule in numpy calls,
+    since ``cumsum`` also adds in order and ``u_k > theta_k`` holds
+    exactly when ``u_k - theta_k > 0`` does.  Numpy does only the shift
+    and the final clip.
+    """
     # The projection is invariant under a common shift; shifting the top
     # entry to zero keeps rank one in the support however large ``v`` is.
     v = v - v.max()
-    u = np.sort(v)[::-1]
-    cumulative = u.cumsum() - 1.0
-    ranks = np.arange(1, v.shape[0] + 1)
-    support = u - cumulative / ranks > 0
-    rho = int(support.nonzero()[0][-1])
-    theta = cumulative[rho] / (rho + 1)
+    u = sorted(v.tolist(), reverse=True)
+    sums = list(accumulate(u))
+    # theta is the shift at the last rank k whose entry stays above it.
+    # Scanning down from d finds it at once on the solver's points, whose
+    # support is full; rank one always qualifies, since u_1 = 0 > -1.
+    for k in range(len(u), 0, -1):
+        theta = (sums[k - 1] - 1.0) / k
+        if u[k - 1] > theta:
+            break
     return np.maximum(v - theta, 0.0)
 
 
@@ -69,7 +82,17 @@ def _psd_parts(a: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
     ``F @ F.T``, which numpy forms as a symmetric rank-k update, so it
     is exactly symmetric.
     """
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
+    return _psd_of_symmetric(0.5 * (a + a.T))
+
+
+def _psd_of_symmetric(sym: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
+    """:func:`_psd_parts` of an exactly symmetric matrix, without re-symmetrising.
+
+    ``eigh`` reads only the lower triangle of ``sym``.  On an exactly
+    symmetric matrix ``0.5 * (a + a.T)`` returns ``a``'s own bits, so
+    this gives :func:`_psd_parts`'s.
+    """
+    eigvals, eigvecs = np.linalg.eigh(sym)
     # eigh sorts ascending: the positive eigenvalues are the last ones.
     first = int(eigvals.searchsorted(0.0, side="right"))
     pos = eigvecs[:, first:] * np.sqrt(eigvals[first:])
@@ -97,20 +120,33 @@ def project_feasible(nu: DualPoint) -> DualPoint:
     Projects ``x`` onto the simplex and ``lam`` onto the PSD cone;
     ``alpha`` and ``q`` are unconstrained and pass through.
     """
-    return DualPoint.from_array(_project_flat(nu.to_array(), nu.dim)[0], nu.dim)
+    return DualPoint.from_array(_project_flat(_symmetric_flat(nu), nu.dim)[0], nu.dim)
+
+
+def _symmetric_flat(nu: DualPoint) -> np.ndarray:
+    """``nu.to_array()`` with ``lam`` replaced by its symmetric part, as :func:`_project_flat` needs."""
+    vec = nu.to_array()
+    lam = _split_flat(vec, nu.dim)[3]
+    lam[:] = 0.5 * (lam + lam.T)
+    return vec
 
 
 def _project_flat(vec: np.ndarray, d: int) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
-    """:func:`project_feasible` of a flat dual vector, overwriting ``vec``.
+    """:func:`project_feasible` of a flat dual vector whose ``lam`` is exactly symmetric.
 
-    Returns ``vec`` and the PSD factor of its ``lam`` block (see
-    :func:`_psd_parts`), which the smoothing kernel uses for the
-    quadratic terms.  Only the ``x`` block is checked, for finiteness:
-    the solver builds ``vec`` itself.
+    Overwrites ``vec`` and returns it with the PSD factor of its ``lam``
+    block (see :func:`_psd_parts`), which the smoothing kernel uses for
+    the quadratic terms.  ``lam`` is not re-symmetrised: its lower
+    triangle is the matrix projected.  :func:`_symmetric_flat` gives
+    such a vector, and so does every ``y - t g`` with ``y`` a projected
+    point, whose block is a symmetric rank-k update, and ``g`` the
+    smoothed gradient, whose block is symmetric term by term.  Only the
+    ``x`` block is checked, for finiteness: the solver builds ``vec``
+    itself.
     """
     x, _, _, lam = _split_flat(vec, d)
     if not np.isfinite(x).all():
         raise InvalidInputError("v contains non-finite entries")
     x[:] = _simplex(x)
-    lam[:], factor = _psd_parts(lam)
+    lam[:], factor = _psd_of_symmetric(lam)
     return vec, factor

@@ -106,7 +106,9 @@ def _plus_and_tail(t: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _logistic(t: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """``logistic(t / mu)`` from the tail ``exp(-|t| / mu)``, which cannot overflow."""
-    return np.where(t >= 0.0, 1.0, tail) / (1.0 + tail)
+    sig = tail.copy()
+    np.copyto(sig, 1.0, where=t >= 0.0)
+    return np.divide(sig, 1.0 + tail, out=sig)
 
 
 def smooth_abs(a, mu):
@@ -213,20 +215,30 @@ def _at_level(parts: _Parts, mu: float, kern: _Kernel) -> _Smoothed:
     """The O(N) stage: components and log-sum-exp at level ``mu``.
 
     The log-sum-exp, taken against the running maximum, brackets the
-    largest component within ``mu * log(N)``.
+    largest component within ``mu * log(N)``.  Its exponents are floored
+    at ``_EXP_FLOOR``, as :func:`_tail`'s are, when any reaches it, so
+    ``exp`` skips its slow subnormal and underflow paths.  A floored
+    term, at most ``exp(-700) ~ 1e-304``, is below half an ulp of the
+    sum, which the top component's ``exp(0) = 1`` keeps at least 1, and
+    below ``WEIGHT_FLUSH`` once normalised: the value and the gradient's
+    weights keep their bits.
     """
     problem = kern.problem
     norm_val = math.sqrt(problem.amb.kappa1 * parts.usu + mu)
     plus, tail = _plus_and_tail(parts.t, mu)
-    vals = (
-        parts.h1
-        + norm_val
-        + _psi(parts.c, mu, problem.model.psi)
-        - parts.quad
-        + problem.model.cvar_coef * plus
-    )
+    # h1 + norm_val + psi - quad + coef * plus, in place on the fresh psi
+    # array: addition commutes exactly, so each step rounds as it would there
+    vals = _psi(parts.c, mu, problem.model.psi)
+    vals += parts.h1 + norm_val
+    vals -= parts.quad
+    plus *= problem.model.cvar_coef
+    vals += plus
     top = float(vals.max())
-    spread = np.exp((vals - top) / mu)
+    spread = vals - top
+    spread /= mu
+    if spread.min() <= _EXP_FLOOR:
+        np.maximum(spread, _EXP_FLOOR, out=spread)
+    np.exp(spread, out=spread)
     spread_sum = float(spread.sum())
     value = top + mu * math.log(spread_sum)
     return _Smoothed(parts, value, vals, spread, spread_sum, tail, norm_val)

@@ -56,7 +56,7 @@ from .model import (
     _problem,
     var_threshold,
 )
-from .projections import _project_flat
+from .projections import _project_flat, _symmetric_flat
 from .smoothing import _at_level, _gradient, _kernel, _Kernel, _smooth, _Smoothed
 
 # perfbench/layers.py wraps these names on this module to trace the
@@ -185,7 +185,12 @@ def _start(x: np.ndarray, samples: SampleSet, model: ModelParams) -> DualPoint:
 
 
 def _unit_step(y: np.ndarray, g: np.ndarray, d: int) -> tuple[tuple, float]:
-    """The projected unit step ``(P(y - g), factor)`` and the residual ``||P(y - g) - y||``."""
+    """The projected unit step ``(P(y - g), factor)`` and the residual ``||P(y - g) - y||``.
+
+    ``y`` and ``g`` are the solver's point and gradient, whose ``lam``
+    blocks are exactly symmetric, so :func:`_project_flat` need not
+    symmetrise ``y - g``.
+    """
     projected = _project_flat(y - g, d)
     step = projected[0] - y
     return projected, math.sqrt(step @ step)
@@ -264,6 +269,7 @@ def _armijo_flat(
         if j == 0 and projected is not None:
             cand, factor = projected
         else:
+            # exactly symmetric lam blocks in y and g give one in the trial
             cand, factor = _project_flat(y - (stepsize * _RHO**j) * g, d)
         at = _smooth(cand, factor, mu, kern)
         slope = float(g @ (cand - y))
@@ -318,7 +324,8 @@ def _spg(nu0: DualPoint, problem: Problem, spg: SpgParams, record_trace: bool) -
     d = nu0.dim
     start_time = time.perf_counter()
     kern = _kernel(problem)
-    y, factor = _project_flat(nu0.to_array(), d)
+    # the one projection that symmetrises lam: every later point's is exactly symmetric
+    y, factor = _project_flat(_symmetric_flat(nu0), d)
     mu_k = _MU0
     grad_evals = 0
     inner_total = 0

@@ -22,6 +22,40 @@ def _flat(nu):
     return nu.to_array()
 
 
+def _simplex_numpy(v):
+    """The sort-and-threshold rule in numpy calls: a bitwise reference for the simplex."""
+    v = v - v.max()
+    u = np.sort(v)[::-1]
+    cumulative = u.cumsum() - 1.0
+    ranks = np.arange(1, v.shape[0] + 1)
+    support = u - cumulative / ranks > 0
+    rho = int(support.nonzero()[0][-1])
+    theta = cumulative[rho] / (rho + 1)
+    return np.maximum(v - theta, 0.0)
+
+
+@st.composite
+def simplex_inputs(draw):
+    """Vectors of 1 to 120 entries of magnitude 1e-8 to 1e8, with ties and outliers.
+
+    The entries come from a drawn seed, so that most of their sums round.
+    """
+    d = draw(st.integers(1, 120))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["spread", "ties", "one huge entry", "all equal"]))
+    if shape == "ties":
+        v = rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0], size=d)
+    elif shape == "all equal":
+        v = np.full(d, rng.uniform(-1.0, 1.0))
+    else:
+        v = rng.uniform(-1.0, 1.0, size=d)
+    v *= scale
+    if shape == "one huge entry":
+        v[rng.integers(d)] = 1e8
+    return v
+
+
 def test_project_simplex_matches_exhaustive_oracle():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -54,6 +88,12 @@ def test_project_simplex_output_always_feasible(values):
     out = project_simplex(np.array(values))
     assert out.min() >= 0.0
     assert out.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_inputs())
+def test_project_simplex_is_bitwise_the_numpy_threshold_rule(v):
+    assert np.array_equal(project_simplex(v), _simplex_numpy(v))
 
 
 def test_project_simplex_rejects_bad_input():

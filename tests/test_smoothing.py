@@ -13,6 +13,7 @@ from drtrack.model import (
     AmbiguityParams, DualPoint, ModelParams, Problem, PsiKind, SampleSet, h_values,
 )
 from drtrack.projections import _project_flat, project_feasible
+from drtrack import smoothing
 from drtrack.smoothing import (
     grad_smooth_phi,
     smooth_abs,
@@ -260,3 +261,34 @@ def test_kernel_matches_exact_values_and_finite_differences_at_benchmark_scale()
         assert np.max(np.abs(fd[:head] - blocks)) <= 1e-6 * np.max(np.abs(blocks))
         slope = float(np.sum(grad.lam * direction))
         assert abs(fd[head] - slope) <= 1e-6 * abs(slope)
+
+
+@pytest.mark.parametrize("psi", [PsiKind.SQUARED, PsiKind.ABSOLUTE])
+def test_softmax_floor_keeps_the_unfloored_bits(monkeypatch, psi):
+    # lam = 100 I spreads the components so that about a tenth of the
+    # softmax exponents fall below -708 (subnormal) and -745 (underflow),
+    # while every tail exponent stays above the floor
+    samples, amb, model = gaussian_instance(5, d=3, n=400, scale=1e-2, psi=psi)
+    x = np.full(3, 1.0 / 3.0)
+    losses = -samples.samples[:, :3] @ x
+    alpha = float(np.median(losses))
+    nu = DualPoint(x=x, alpha=alpha, q=np.zeros(4), lam=100.0 * np.eye(4))
+    mu = 1e-4
+
+    def evaluate():
+        return (
+            smooth_h_values(nu, samples, mu, amb, model),
+            smooth_phi(nu, samples, mu, amb, model),
+            grad_smooth_phi(nu, samples, mu, amb, model).to_array(),
+        )
+
+    floored = evaluate()
+    exponents = (floored[0] - floored[0].max()) / mu
+    assert (exponents < -745.2).sum() > 20
+    assert ((exponents < -708.4) & (exponents > -745.2)).sum() > 0
+    assert (np.abs(losses - alpha) / mu).max() < 700.0
+    monkeypatch.setattr(smoothing, "_EXP_FLOOR", -np.inf)
+    unfloored = evaluate()
+    assert np.array_equal(floored[0], unfloored[0])
+    assert floored[1] == unfloored[1]
+    assert np.array_equal(floored[2], unfloored[2])

@@ -8,6 +8,7 @@ import pytest
 from helpers import gaussian_instance, tracking_instance, vertex_start
 from drtrack import smoothing
 from drtrack import spg as spg_module
+from drtrack.backtest import BacktestConfig, solve_model
 from drtrack.errors import InvalidInputError, NumericalError
 from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
 from drtrack.model import (
@@ -448,3 +449,43 @@ def test_bracketed_search_matches_a_scan_in_fewer_trials(monkeypatch):
         assert [v for _, v in bracketed.trace] == [v for _, v in scanned.trace]
     assert [r.trials for r in scans] == [135, 143]
     assert [r.trials for r in searched] == [122, 120]
+
+
+@pytest.mark.parametrize("model_id", ["drcvar-l2", "drcvar-l1"])
+def test_every_lam_block_the_solver_projects_is_exactly_symmetric(monkeypatch, model_id):
+    # the unit steps and trials project lam without re-symmetrising it,
+    # which gives the symmetrised bits only on an exactly symmetric block
+    real_project = spg_module._project_flat
+    symmetric = []
+
+    def checking_project(vec, d):
+        lam = vec[2 * d + 2 :].reshape(d + 1, d + 1)
+        symmetric.append(np.array_equal(lam, lam.T))
+        return real_project(vec, d)
+
+    monkeypatch.setattr(spg_module, "_project_flat", checking_project)
+    config = BacktestConfig(
+        model_id=model_id,
+        model=ModelParams(tau1=2e-4, tau2=2e-4, beta=0.95),
+        spg=SpgParams(max_outer_iters=10, max_inner_per_phase=20),
+    )
+    for d in (8, 30):
+        before = len(symmetric)
+        solve_model(gen_synthetic(d, 300, d), 0, 300, config)
+        assert len(symmetric) - before >= 40
+    assert all(symmetric)
+
+
+def test_spg_solve_symmetrises_the_callers_lam_on_entry():
+    samples, amb, model = gaussian_instance(3, d=4, n=60)
+    nu0 = default_start(samples, model)
+    skew = np.random.default_rng(8).normal(scale=0.2, size=nu0.lam.shape)
+    asymmetric = replace(nu0, lam=nu0.lam + skew)
+    symmetric = replace(nu0, lam=0.5 * (asymmetric.lam + asymmetric.lam.T))
+    spg = SpgParams(max_outer_iters=6)
+    got = spg_solve(asymmetric, samples, amb, model, spg)
+    want = spg_solve(symmetric, samples, amb, model, spg)
+    assert got.nu.to_array().tobytes() == want.nu.to_array().tobytes()
+    assert (got.objective, got.status, got.outer_iters, got.inner_iters, got.trials) == (
+        want.objective, want.status, want.outer_iters, want.inner_iters, want.trials
+    )
