@@ -345,8 +345,11 @@ class Problem:
     """The data of one robust fit, checked once.
 
     ``moment`` is ``C = kappa2 * sym(sigma_hat) + mu_hat mu_hat'``, exactly
-    symmetric; ``samples_t``, the contiguous ``(d + 1) x N`` copy of the
-    samples that the smoothing kernel reads, is made on first use.
+    symmetric.  The smoothing kernel's two members are made on first use:
+    ``samples_t``, the contiguous ``(d + 1) x N`` copy of the samples that
+    every product reads, and ``scratch``, a ``(d + 3) x N`` buffer that
+    every product overwrites, so a record serves one solve at a time.
+    The exact objective makes neither.
     """
 
     samples: SampleSet
@@ -363,6 +366,11 @@ class Problem:
     @cached_property
     def samples_t(self) -> np.ndarray:
         return np.ascontiguousarray(self.samples.samples.T)
+
+    @cached_property
+    def scratch(self) -> np.ndarray:
+        n, m = self.samples.samples.shape
+        return np.empty((m + 2, n))
 
 
 def _problem(nu: DualPoint, samples: SampleSet, amb, model) -> Problem:

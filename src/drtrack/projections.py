@@ -70,27 +70,18 @@ def project_psd(a) -> np.ndarray:
         raise InvalidInputError(f"a must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError("a contains non-finite entries")
-    return _psd_parts(a)[0]
-
-
-def _psd_parts(a: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
-    """:func:`project_psd` of a checked square matrix, with its factor.
-
-    The factor ``(F, r)`` holds the ``r`` positive eigenpairs of the
-    symmetric part as ``F = V_+ sqrt(e_+)``, the columns of
-    :func:`_eigen_factor` without its negative ones; the projection is
-    ``F @ F.T``, which numpy forms as a symmetric rank-k update, so it
-    is exactly symmetric.
-    """
-    return _psd_of_symmetric(0.5 * (a + a.T))
+    return _psd_of_symmetric(0.5 * (a + a.T))[0]
 
 
 def _psd_of_symmetric(sym: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
-    """:func:`_psd_parts` of an exactly symmetric matrix, without re-symmetrising.
+    """:func:`project_psd` of an exactly symmetric matrix, with its factor.
 
-    ``eigh`` reads only the lower triangle of ``sym``.  On an exactly
-    symmetric matrix ``0.5 * (a + a.T)`` returns ``a``'s own bits, so
-    this gives :func:`_psd_parts`'s.
+    ``eigh`` reads only the lower triangle of ``sym``, which is not
+    re-symmetrised.  The factor ``(F, r)`` holds the ``r`` positive
+    eigenpairs as ``F = V_+ sqrt(e_+)``, the columns of
+    :func:`_eigen_factor` without its negative ones; the projection is
+    ``F @ F.T``, which numpy forms as a symmetric rank-k update, so it
+    is exactly symmetric.
     """
     eigvals, eigvecs = np.linalg.eigh(sym)
     # eigh sorts ascending: the positive eigenvalues are the last ones.
@@ -135,9 +126,9 @@ def _project_flat(vec: np.ndarray, d: int) -> tuple[np.ndarray, tuple[np.ndarray
     """:func:`project_feasible` of a flat dual vector whose ``lam`` is exactly symmetric.
 
     Overwrites ``vec`` and returns it with the PSD factor of its ``lam``
-    block (see :func:`_psd_parts`), which the smoothing kernel uses for
-    the quadratic terms.  ``lam`` is not re-symmetrised: its lower
-    triangle is the matrix projected.  :func:`_symmetric_flat` gives
+    block (see :func:`_psd_of_symmetric`), which the smoothing kernel
+    uses for the quadratic terms.  ``lam`` is not re-symmetrised: its
+    lower triangle is the matrix projected.  :func:`_symmetric_flat` gives
     such a vector, and so does every ``y - t g`` with ``y`` a projected
     point, whose block is a symmetric rank-k update, and ``g`` the
     smoothed gradient, whose block is symmetric term by term.  Only the

@@ -16,17 +16,17 @@ known margin (``mu * log 2``, ``sqrt(mu)``, ``sqrt(mu)``, and
 exact one as ``mu`` decreases.  All evaluations here are overflow-safe
 and deterministic.
 
-The kernel runs on a :class:`_Kernel`: the fit's record,
-:class:`drtrack.model.Problem`, whose ``samples_t`` every product reads,
-and a ``(d + 3) x N`` scratch buffer that each product overwrites and
-no result keeps a view of.  The first stage, free of
+The kernel runs on the fit's record, :class:`drtrack.model.Problem`,
+whose ``samples_t`` every product reads and whose ``(d + 3) x N``
+``scratch`` buffer each product overwrites and no result keeps a view
+of.  The first stage, free of
 ``mu``, computes per sample ``xi' lam xi + q' xi``, the tracking
 deviation and the plus-part argument, plus ``<C, lam> + q' mu_hat + ...``,
 from one GEMM of ``[F | q | (x; 0)]'``, of height ``rank(lam) + 2 <= d + 3``,
 with ``samples_t``; ``F`` is an eigen-factor of ``sym(lam)`` (inside the
 solver, the PSD projection's own).  The second stage applies the
 surrogates and the log-sum-exp at level ``mu`` in O(N).  The gradient
-scales ``samples_t`` by ``sqrt(w)`` into the buffer for the weighted
+scales ``samples_t`` by ``sqrt(w)`` into ``scratch`` for the weighted
 Gram ``sum_i w_i xi_i xi_i'``, one symmetric rank-k update.
 """
 
@@ -162,31 +162,18 @@ class _Smoothed(NamedTuple):
     norm_val: float  # smoothed mean-ellipsoid term
 
 
-class _Kernel(NamedTuple):
-    """Per-solve state of the step kernel, built once by :func:`_kernel`."""
-
-    problem: Problem
-    buf: np.ndarray  # (d + 3) x N scratch, overwritten by every product
-
-
-def _kernel(problem: Problem) -> _Kernel:
-    """The kernel state for ``problem``; its buffer is private to one solve."""
-    m, n = problem.samples_t.shape
-    return _Kernel(problem, np.empty((m + 2, n)))
-
-
-def _parts(flat: np.ndarray, factor, kern: _Kernel) -> _Parts:
+def _parts(flat: np.ndarray, factor, problem: Problem) -> _Parts:
     """The mu-free stage at a flat dual vector, unchecked.
 
     ``factor = (F, p)``, from :func:`drtrack.projections._eigen_factor`,
     writes ``sym(lam)`` as ``P P' - Q Q'`` with
     ``P = F[:, :p]`` and ``Q = F[:, p:]``.  One product of
-    ``[F | q | (x; 0)]'`` with ``samples_t``, written into the scratch
-    buffer, yields the quadratic forms as column sums of squares,
+    ``[F | q | (x; 0)]'`` with ``samples_t``, written into ``scratch``,
+    yields the quadratic forms as column sums of squares,
     ``q' xi`` and the portfolio returns ``x' xi_b``; the index returns
     are the last row of ``samples_t``.  The parts copy what they keep.
     """
-    samples_t, amb = kern.problem.samples_t, kern.problem.amb
+    samples_t, amb, scratch = problem.samples_t, problem.amb, problem.scratch
     d = samples_t.shape[0] - 1
     x, alpha, q, lam = _split_flat(flat, d)
     u = q + 2.0 * lam @ amb.mu_hat
@@ -197,7 +184,7 @@ def _parts(flat: np.ndarray, factor, kern: _Kernel) -> _Parts:
     left[:r] = cols.T
     left[r] = q
     left[r + 1, :d] = x
-    prod = np.matmul(left, samples_t, out=kern.buf[: r + 2])
+    prod = np.matmul(left, samples_t, out=scratch[: r + 2])
     pos = prod[:npos]
     quad = np.einsum("ij,ij->j", pos, pos)
     if npos < r:
@@ -207,11 +194,11 @@ def _parts(flat: np.ndarray, factor, kern: _Kernel) -> _Parts:
     losses = -prod[r + 1]
     c = samples_t[d] + losses
     t = losses - alpha
-    h1 = _h1(x, alpha, q, lam, kern.problem)
+    h1 = _h1(x, alpha, q, lam, problem)
     return _Parts(h1, float(u @ su), su, quad, c, t)
 
 
-def _at_level(parts: _Parts, mu: float, kern: _Kernel) -> _Smoothed:
+def _at_level(parts: _Parts, mu: float, problem: Problem) -> _Smoothed:
     """The O(N) stage: components and log-sum-exp at level ``mu``.
 
     The log-sum-exp, taken against the running maximum, brackets the
@@ -223,7 +210,6 @@ def _at_level(parts: _Parts, mu: float, kern: _Kernel) -> _Smoothed:
     below ``WEIGHT_FLUSH`` once normalised: the value and the gradient's
     weights keep their bits.
     """
-    problem = kern.problem
     norm_val = math.sqrt(problem.amb.kappa1 * parts.usu + mu)
     plus, tail = _plus_and_tail(parts.t, mu)
     # h1 + norm_val + psi - quad + coef * plus, in place on the fresh psi
@@ -244,24 +230,23 @@ def _at_level(parts: _Parts, mu: float, kern: _Kernel) -> _Smoothed:
     return _Smoothed(parts, value, vals, spread, spread_sum, tail, norm_val)
 
 
-def _smooth(flat: np.ndarray, factor, mu: float, kern: _Kernel) -> _Smoothed:
+def _smooth(flat: np.ndarray, factor, mu: float, problem: Problem) -> _Smoothed:
     """Smoothed components and objective at a flat dual vector, unchecked."""
-    return _at_level(_parts(flat, factor, kern), mu, kern)
+    return _at_level(_parts(flat, factor, problem), mu, problem)
 
 
-def _gradient(flat: np.ndarray, at: _Smoothed, mu: float, kern: _Kernel) -> np.ndarray:
+def _gradient(flat: np.ndarray, at: _Smoothed, mu: float, problem: Problem) -> np.ndarray:
     """Flat gradient of the smoothed objective from its components ``at``.
 
     The gradient is the softmax-weighted combination of the component
     gradients, read off ``samples_t`` alone: ``s' w`` and ``xi_b' v``
     come from one two-column product ``samples_t @ [w | v]``, and the
     weighted Gram ``s' diag(w) s`` from one symmetric rank-k update of
-    ``samples_t`` scaled by ``sqrt(w)`` into the scratch buffer.  The
+    ``samples_t`` scaled by ``sqrt(w)`` into ``scratch``.  The
     matrix block ``C + g mu_hat' + mu_hat g' - Gram`` is exactly
     symmetric term by term, so ascent directions stay inside the
     symmetric matrices that the feasible set uses.
     """
-    problem = kern.problem
     samples_t, amb, model = problem.samples_t, problem.amb, problem.model
     d = samples_t.shape[0] - 1
     m = d + 1
@@ -279,7 +264,7 @@ def _gradient(flat: np.ndarray, at: _Smoothed, mu: float, kern: _Kernel) -> np.n
     pair[:, 0] = weights
     np.multiply(weights, psi_prime + coef * sig, out=pair[:, 1])
     sums = samples_t @ pair
-    scaled = np.multiply(samples_t, np.sqrt(weights), out=kern.buf[:m])
+    scaled = np.multiply(samples_t, np.sqrt(weights), out=problem.scratch[:m])
     gram = scaled @ scaled.T
 
     grad = np.empty(d + 1 + m + m * m)
@@ -296,12 +281,12 @@ def _gradient(flat: np.ndarray, at: _Smoothed, mu: float, kern: _Kernel) -> np.n
 
 
 def _checked(nu: DualPoint, samples: SampleSet, mu, amb: AmbiguityParams, model: ModelParams):
-    """Validate a wrapper's inputs; return ``(flat nu, mu, kernel state, kernel result)``."""
+    """Validate a wrapper's inputs; return ``(flat nu, mu, record, kernel result)``."""
     mu = _mu_value(mu)
-    kern = _kernel(_problem(nu, samples, amb, model))
+    problem = _problem(nu, samples, amb, model)
     flat = nu.to_array()
     factor = _eigen_factor(0.5 * (nu.lam + nu.lam.T))
-    return flat, mu, kern, _smooth(flat, factor, mu, kern)
+    return flat, mu, problem, _smooth(flat, factor, mu, problem)
 
 
 def smooth_h_values(
@@ -334,6 +319,6 @@ def grad_smooth_phi(
     model: ModelParams,
 ) -> DualPoint:
     """Gradient of :func:`smooth_phi`, packaged blockwise as a DualPoint."""
-    flat, mu, kern, at = _checked(nu, samples, mu, amb, model)
-    grad = _gradient(flat, at, mu, kern)
+    flat, mu, problem, at = _checked(nu, samples, mu, amb, model)
+    grad = _gradient(flat, at, mu, problem)
     return DualPoint.from_array(grad, nu.dim)

@@ -20,11 +20,11 @@ larger grid step fails.
 (:class:`drtrack.model.Problem`), projects the start point on entry and
 builds one :class:`DualPoint` on exit.  In between it works on one flat
 vector ``(x | alpha | q | vec(lam))``; every trial and gradient runs on
-the kernel state of :func:`drtrack.smoothing._kernel`, the record and
-one scratch buffer, and the exact objective at the end reads the same
-record.  The gradient at an accepted trial reuses the smoothed
-components that trial computed, and a new smoothing level re-runs only
-the kernel's O(N) stage on that trial's mu-free parts.  Each outer
+the record, whose ``scratch`` buffer each kernel product overwrites,
+and the exact objective at the end reads the same record.  The gradient
+at an accepted trial reuses the smoothed components that trial
+computed, and a new smoothing level re-runs only the kernel's O(N)
+stage on that trial's mu-free parts.  Each outer
 iteration projects ``y - g`` once, for the residual; when a phase's
 first trial step is exactly 1, that projection is its first trial.  A
 non-finite smoothed gradient, or a line search that fails on a
@@ -57,7 +57,7 @@ from .model import (
     var_threshold,
 )
 from .projections import _project_flat, _symmetric_flat
-from .smoothing import _at_level, _gradient, _kernel, _Kernel, _smooth, _Smoothed
+from .smoothing import _at_level, _gradient, _smooth, _Smoothed
 
 # perfbench/layers.py wraps these names on this module to trace the
 # calls made through it; the solver itself runs on the flat kernels.
@@ -242,7 +242,7 @@ def _search_exponent(passes, guess) -> int | None:
 
 
 def _armijo_flat(
-    y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, mu: float, kern: _Kernel,
+    y: np.ndarray, fy: float, g: np.ndarray, stepsize: float, mu: float, problem: Problem,
     k: int, projected: tuple | None,
 ) -> tuple[np.ndarray, _Smoothed | None, float | None, int]:
     """Flat Armijo step on the grid ``stepsize * rho**j``: ``(point, smoothed, step, trials)``.
@@ -260,7 +260,7 @@ def _armijo_flat(
     exponent raises :class:`NumericalError` naming outer iteration ``k``.
     """
     log_rho = math.log(_RHO)
-    d = kern.problem.samples.n_assets
+    d = problem.samples.n_assets
     tried = {}  # j -> (value, path slope), for this step's trials only
     accepted = None
 
@@ -271,7 +271,7 @@ def _armijo_flat(
         else:
             # exactly symmetric lam blocks in y and g give one in the trial
             cand, factor = _project_flat(y - (stepsize * _RHO**j) * g, d)
-        at = _smooth(cand, factor, mu, kern)
+        at = _smooth(cand, factor, mu, problem)
         slope = float(g @ (cand - y))
         tried[j] = at.value, slope
         if at.value <= fy + _SIGMA * slope:
@@ -323,7 +323,6 @@ def _spg(nu0: DualPoint, problem: Problem, spg: SpgParams, record_trace: bool) -
     """:func:`spg_solve` on a record whose assets ``nu0`` has, unchecked."""
     d = nu0.dim
     start_time = time.perf_counter()
-    kern = _kernel(problem)
     # the one projection that symmetrises lam: every later point's is exactly symmetric
     y, factor = _project_flat(_symmetric_flat(nu0), d)
     mu_k = _MU0
@@ -342,14 +341,14 @@ def _spg(nu0: DualPoint, problem: Problem, spg: SpgParams, record_trace: bool) -
     def gradient(point: np.ndarray, at: _Smoothed, k: int) -> np.ndarray:
         nonlocal grad_evals
         grad_evals += 1
-        g = _gradient(point, at, mu_k, kern)
+        g = _gradient(point, at, mu_k, problem)
         if not np.isfinite(g).all():
             raise _not_finite("gradient", mu_k, k)
         return g
 
     # ``at`` always holds the kernel result at ``y``; a new smoothing
     # level re-runs only its O(N) stage on the stored mu-free parts.
-    at = _smooth(y, factor, mu_k, kern)
+    at = _smooth(y, factor, mu_k, problem)
     note(at.value)
     for k in range(spg.max_outer_iters):
         g = gradient(y, at, k)
@@ -370,7 +369,7 @@ def _spg(nu0: DualPoint, problem: Problem, spg: SpgParams, record_trace: bool) -
                 # P(y - 1.0 * g) is the unit step that the residual projected
                 projected = unit if j == 1 and first == 1.0 else None
                 y_next, trial, stepsize, evaluations = _armijo_flat(
-                    y, at.value, g, first, mu_k, kern, k, projected
+                    y, at.value, g, first, mu_k, problem, k, projected
                 )
                 trials += evaluations
                 # a first step that cannot move the point fails like a line search
@@ -388,7 +387,7 @@ def _spg(nu0: DualPoint, problem: Problem, spg: SpgParams, record_trace: bool) -
             status = STATUS_STALLED
             break
         mu_k = max(_OMEGA * mu_k, _MU_MIN)
-        at = _at_level(at.parts, mu_k, kern)
+        at = _at_level(at.parts, mu_k, problem)
 
     # a converged run stops before outer iteration k; any other ends with it
     outer_iters = k if status == STATUS_CONVERGED else k + 1

@@ -154,6 +154,8 @@ def test_hold_period_metrics_reject_non_finite_gross_returns():
         compute_teo(mat, [1.0, 1.0], [[1.0, 1.0, 1.0], [1.0, np.inf, 1.0]])
     with pytest.raises(InvalidInputError, match="asset gross returns"):
         compute_performance(mat, [[1.0, 1.0, 1.0], [1.0, 1.0, np.nan]])
+    with pytest.raises(InvalidInputError, match="need matching, non-empty hold-period returns"):
+        compute_teo(mat, [1.0, 1.0, 1.0], np.ones((2, 3)))
 
 
 def test_performance_hand_case():

@@ -15,6 +15,7 @@ from drtrack import backtest, cli
 from drtrack.backtest import BacktestConfig
 from drtrack.baselines import BaselineParams
 from drtrack.cli import CONFIG_DEFAULTS, UNAVAILABLE_MODELS, main
+from drtrack.errors import NumericalError
 from drtrack.model import ModelParams
 from drtrack.spg import SpgParams
 from drtrack.data import ReturnPanel, load_returns_csv, save_returns_csv, gen_synthetic
@@ -333,14 +334,27 @@ def test_output_into_a_missing_directory_exits_3_before_any_fit(
     ["solve", "--model", "scvar-l2", "--kappa1", "-1"],
     ["solve", "--model", "te-l2", "--kappa2", "0"],
     ["backtest", "--model", "drcvar-l2", "--kappa2", "0"],
+    ["grid-search", "--model", "te-l2", "--grid", ","],
+    ["compare", "--models", ","],
 ], ids=["solve-beta", "backtest-beta", "grid-search-beta", "compare-beta",
         "solve-trace-out", "solve-rows", "grid-search-grid", "compare-models",
-        "solve-kappa1", "solve-kappa2", "backtest-kappa2"])
+        "solve-kappa1", "solve-kappa2", "backtest-kappa2", "grid-search-empty-grid",
+        "compare-no-models"])
 def test_flag_errors_exit_2_before_the_panel_is_read(argv, tmp_path, capsys):
     # the data file is missing, which would exit 3 if it were read first
     assert main(argv + ["--data", str(tmp_path / "nope.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "data error" not in err
+
+
+def test_numerical_error_exits_4(quiet_csv, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise NumericalError("smoothed gradient is not finite")
+
+    monkeypatch.setattr(cli, "solve_model", diverge)
+    assert main(["solve", "--data", quiet_csv, "--model", "te-l2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ")
 
 
 def test_unknown_model_rejected(market_csv, capsys):

@@ -261,6 +261,14 @@ def test_estimate_moments_repairs_degenerate_windows():
     est = estimate_moments(panel)
     assert est.repaired and est.jitter > 0.0
     assert np.linalg.eigvalsh(est.sigma_hat).min() > 0.0
+    # constant returns: the covariance has trace 0, so the jitter has unit scale
+    n = 10
+    flat = ReturnPanel(dates=tuple(date(2021, 3, 1) + timedelta(days=i) for i in range(n)),
+                       index_returns=np.full(n, 0.25), asset_returns=np.full((n, 2), 0.25),
+                       asset_names=("a0", "a1"))
+    est = estimate_moments(flat)
+    assert est.repaired and est.jitter == 1e-8
+    assert np.array_equal(est.sigma_hat, 1e-8 * np.eye(3))
 
 
 def test_estimate_moments_validation():

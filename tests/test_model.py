@@ -94,6 +94,8 @@ def test_discrete_distribution_validation():
         DiscreteDistribution(weights=np.array([0.7, 0.2]))
     with pytest.raises(InvalidInputError):
         DiscreteDistribution(weights=np.array([1.2, -0.2]))
+    with pytest.raises(InvalidInputError, match="weights must be non-empty"):
+        DiscreteDistribution(np.array([]))
     uniform = DiscreteDistribution.uniform(4)
     assert np.allclose(uniform.weights, 0.25)
     for n in (0, 2.5, True):

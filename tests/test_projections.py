@@ -11,7 +11,7 @@ from drtrack.errors import InvalidInputError
 from drtrack.projections import (
     _eigen_factor,
     _project_flat,
-    _psd_parts,
+    _psd_of_symmetric,
     project_feasible,
     project_psd,
     project_simplex,
@@ -184,14 +184,14 @@ def test_project_flat_simplex_block_is_bitwise_project_simplex():
             _project_flat(vec, 3)
 
 
-def test_psd_parts_is_bitwise_the_positive_half_of_the_signed_factor():
+def test_psd_of_symmetric_is_bitwise_the_positive_half_of_the_signed_factor():
     rng = np.random.default_rng(31)
     for size in (2, 9, 31):
         g = rng.normal(size=(size, size))
         for a in (np.zeros((size, size)), g @ g.T, g, g + g.T):
             cols, npos = _eigen_factor(0.5 * (a + a.T))
             pos = cols[:, :npos]
-            proj, (factor, rank) = _psd_parts(a)
+            proj, (factor, rank) = _psd_of_symmetric(0.5 * (a + a.T))
             assert rank == npos == factor.shape[1]
             assert np.array_equal(factor, pos)
             assert np.array_equal(proj, pos @ pos.T)

@@ -10,7 +10,7 @@ from helpers import gaussian_instance, random_dual_point
 from drtrack.data import build_sample_set, estimate_moments, gen_synthetic
 from drtrack.errors import InvalidInputError
 from drtrack.model import (
-    AmbiguityParams, DualPoint, ModelParams, Problem, PsiKind, SampleSet, h_values,
+    AmbiguityParams, DualPoint, ModelParams, Problem, PsiKind, SampleSet, _h_values, h_values,
 )
 from drtrack.projections import _project_flat, project_feasible
 from drtrack import smoothing
@@ -23,7 +23,6 @@ from drtrack.smoothing import (
     smooth_psi,
     _at_level,
     _gradient,
-    _kernel,
     _psi,
     _smooth,
 )
@@ -181,7 +180,7 @@ def test_mu_stage_on_stored_parts_equals_a_fresh_pass():
             23, d=3, n=25, scale=0.5, tau1=0.1, tau2=0.05, beta=0.9, psi=kind
         )
         flat, factor = _project_flat(random_dual_point(rng, 3).to_array(), 3)
-        kern = _kernel(Problem(samples, amb, model))
+        kern = Problem(samples, amb, model)
         at = _smooth(flat, factor, 1.0, kern)
         for mu in (0.5, 1e-3, 1e-9):
             again = _at_level(at.parts, mu, kern)
@@ -200,7 +199,7 @@ def test_scratch_buffer_reuse_leaves_earlier_results_intact():
     rng = np.random.default_rng(89)
     samples, amb, model = gaussian_instance(29, d=4, n=40, scale=0.5, tau1=0.1, tau2=0.05,
                                             beta=0.9, psi=PsiKind.ABSOLUTE)
-    kern = _kernel(Problem(samples, amb, model))
+    kern = Problem(samples, amb, model)
     mu = 1e-2
     flat_a, factor_a = _project_flat(random_dual_point(rng, 4).to_array(), 4)
     at_a = _smooth(flat_a, factor_a, mu, kern)
@@ -219,6 +218,22 @@ def test_scratch_buffer_reuse_leaves_earlier_results_intact():
     for name, before in parts.items():
         assert np.array_equal(getattr(at_a.parts, name), before)
     assert np.array_equal(_gradient(flat_a, at_a, mu, kern), grad_a)
+
+
+def test_record_makes_the_kernel_members_only_when_the_kernel_runs():
+    # the exact objective reads the samples as they are: no transposed
+    # copy and no scratch buffer, which at d = 30 and N = 3500 are 0.9 MB each
+    rng = np.random.default_rng(101)
+    samples, amb, model = gaussian_instance(31, d=4, n=40, scale=0.5, tau1=0.1, tau2=0.05,
+                                            beta=0.9, psi=PsiKind.SQUARED)
+    problem = Problem(samples, amb, model)
+    nu = project_feasible(random_dual_point(rng, 4))
+    _h_values(nu, problem)
+    assert "samples_t" not in vars(problem) and "scratch" not in vars(problem)
+    flat, factor = _project_flat(nu.to_array(), 4)
+    _smooth(flat, factor, 1e-2, problem)
+    assert "samples_t" in vars(problem) and "scratch" in vars(problem)
+    assert problem.scratch.shape == (4 + 3, 40)
 
 
 def test_kernel_matches_exact_values_and_finite_differences_at_benchmark_scale():
