@@ -327,7 +327,8 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> ModelFit:
     by :func:`_simplex_qp` from uniform weights.  The objective, from the
     residuals, less the Frank-Wolfe gap ``g'x - min(g)``, ``g = 2(Gx - b)``,
     is a lower bound, since the objective is convex; ``converged`` means that
-    gap is at most :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)``.
+    gap is at most :data:`TE_L2_GAP` times ``mean(xi_a^2) + trace(G)``.  The
+    relative ``gap`` divides by :func:`_gap_floor`, as :func:`scvar_solve`'s does.
     """
     start_time = time.perf_counter()
     tau1 = _finite_float(tau1, "tau1")
@@ -340,7 +341,7 @@ def te_l2_solve(samples: SampleSet, tau1: float) -> ModelFit:
     objective = float(r @ r) / n + tau1 * float(x @ x)
     fw_gap = float(g @ x - g.min())
     lower = objective - max(fw_gap, 0.0)
-    gap = (objective - lower) / max(abs(objective), tol / GAP_TOLERANCE, math.ulp(0.0))
+    gap = (objective - lower) / max(abs(objective), _gap_floor(samples, tau1))
     status = STATUS_CONVERGED if fw_gap <= tol else STATUS_ITERATION_CAP
     return ModelFit(weights=x, status=status, objective=objective, alpha=None,
                     lower_bound=lower, gap=gap, iters=None, counters={},

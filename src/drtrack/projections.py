@@ -73,36 +73,19 @@ def project_psd(a) -> np.ndarray:
     return _psd_of_symmetric(0.5 * (a + a.T))[0]
 
 
-def _psd_of_symmetric(sym: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
+def _psd_of_symmetric(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`project_psd` of an exactly symmetric matrix, with its factor.
 
     ``eigh`` reads only the lower triangle of ``sym``, which is not
-    re-symmetrised.  The factor ``(F, r)`` holds the ``r`` positive
-    eigenpairs as ``F = V_+ sqrt(e_+)``, the columns of
-    :func:`_eigen_factor` without its negative ones; the projection is
-    ``F @ F.T``, which numpy forms as a symmetric rank-k update, so it
-    is exactly symmetric.
+    re-symmetrised.  The factor ``F = V_+ sqrt(e_+)`` holds the positive
+    eigenpairs, one column each; the projection is ``F @ F.T``, which
+    numpy forms as a symmetric rank-k update, so it is exactly symmetric.
     """
     eigvals, eigvecs = np.linalg.eigh(sym)
     # eigh sorts ascending: the positive eigenvalues are the last ones.
     first = int(eigvals.searchsorted(0.0, side="right"))
     pos = eigvecs[:, first:] * np.sqrt(eigvals[first:])
-    return pos @ pos.T, (pos, pos.shape[1])
-
-
-def _eigen_factor(sym: np.ndarray) -> tuple[np.ndarray, int]:
-    """Signed eigen-factor ``(F, p)`` of a symmetric matrix.
-
-    ``sym = P P' - Q Q'`` with ``P = F[:, :p]`` the positive eigenpairs
-    as ``V sqrt(e)`` and ``Q = F[:, p:]`` the negative ones as
-    ``V sqrt(-e)``.
-    """
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    pos, neg = eigvals > 0.0, eigvals < 0.0
-    cols = np.hstack(
-        [eigvecs[:, pos] * np.sqrt(eigvals[pos]), eigvecs[:, neg] * np.sqrt(-eigvals[neg])]
-    )
-    return cols, int(pos.sum())
+    return pos @ pos.T, pos
 
 
 def project_feasible(nu: DualPoint) -> DualPoint:
@@ -122,12 +105,12 @@ def _symmetric_flat(nu: DualPoint) -> np.ndarray:
     return vec
 
 
-def _project_flat(vec: np.ndarray, d: int) -> tuple[np.ndarray, tuple[np.ndarray, int]]:
+def _project_flat(vec: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`project_feasible` of a flat dual vector whose ``lam`` is exactly symmetric.
 
-    Overwrites ``vec`` and returns it with the PSD factor of its ``lam``
-    block (see :func:`_psd_of_symmetric`), which the smoothing kernel
-    uses for the quadratic terms.  ``lam`` is not re-symmetrised: its
+    Overwrites ``vec`` and returns it with the PSD factor ``F`` of its
+    ``lam`` block (see :func:`_psd_of_symmetric`), which the smoothing
+    kernel takes for the quadratic terms.  ``lam`` is not re-symmetrised: its
     lower triangle is the matrix projected.  :func:`_symmetric_flat` gives
     such a vector, and so does every ``y - t g`` with ``y`` a projected
     point, whose block is a symmetric rank-k update, and ``g`` the

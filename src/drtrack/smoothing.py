@@ -22,9 +22,11 @@ whose ``samples_t`` every product reads and whose ``(d + 3) x N``
 of.  The first stage, free of
 ``mu``, computes per sample ``xi' lam xi + q' xi``, the tracking
 deviation and the plus-part argument, plus ``<C, lam> + q' mu_hat + ...``,
-from one GEMM of ``[F | q | (x; 0)]'``, of height ``rank(lam) + 2 <= d + 3``,
-with ``samples_t``; ``F`` is an eigen-factor of ``sym(lam)`` (inside the
-solver, the PSD projection's own).  The second stage applies the
+from one GEMM of ``[F | q | (x; 0)]'``, of height at most ``d + 3``, with
+``samples_t``.  Inside the solver ``F`` is the PSD projection's factor of
+``lam``, so ``lam = F F'`` and the block has height ``rank(lam) + 2``; the
+public functions take any ``lam`` and put ``sym(lam)`` itself in ``F``'s
+place, so they decompose nothing.  The second stage applies the
 surrogates and the log-sum-exp at level ``mu`` in O(N).  The gradient
 scales ``samples_t`` by ``sqrt(w)`` into ``scratch`` for the weighted
 Gram ``sum_i w_i xi_i xi_i'``, one symmetric rank-k update.
@@ -49,7 +51,6 @@ from .model import (
     _problem,
     _split_flat,
 )
-from .projections import _eigen_factor
 
 __all__ = [
     "smooth_plus",
@@ -165,31 +166,29 @@ class _Smoothed(NamedTuple):
 def _parts(flat: np.ndarray, factor, problem: Problem) -> _Parts:
     """The mu-free stage at a flat dual vector, unchecked.
 
-    ``factor = (F, p)``, from :func:`drtrack.projections._eigen_factor`,
-    writes ``sym(lam)`` as ``P P' - Q Q'`` with
-    ``P = F[:, :p]`` and ``Q = F[:, p:]``.  One product of
-    ``[F | q | (x; 0)]'`` with ``samples_t``, written into ``scratch``,
-    yields the quadratic forms as column sums of squares,
-    ``q' xi`` and the portfolio returns ``x' xi_b``; the index returns
-    are the last row of ``samples_t``.  The parts copy what they keep.
+    ``factor`` is the PSD factor ``F`` with ``sym(lam) = F F'``, from
+    :func:`drtrack.projections._project_flat`, or None, which stands for
+    ``sym(lam)`` itself.  One product of ``[F | q | (x; 0)]'`` with
+    ``samples_t``, written into ``scratch``, yields ``F' xi``, ``q' xi``
+    and the portfolio returns ``x' xi_b``; the quadratic forms are the
+    column sums of ``(F' xi)^2``, or with None of ``xi * (sym(lam) xi)``.
+    The index returns are the last row of ``samples_t``.  The parts copy
+    what they keep.
     """
     samples_t, amb, scratch = problem.samples_t, problem.amb, problem.scratch
     d = samples_t.shape[0] - 1
     x, alpha, q, lam = _split_flat(flat, d)
     u = q + 2.0 * lam @ amb.mu_hat
     su = amb.sigma_hat @ u
-    cols, npos = factor
+    cols = 0.5 * (lam + lam.T) if factor is None else factor
     r = cols.shape[1]
     left = np.zeros((r + 2, d + 1))
     left[:r] = cols.T
     left[r] = q
     left[r + 1, :d] = x
     prod = np.matmul(left, samples_t, out=scratch[: r + 2])
-    pos = prod[:npos]
-    quad = np.einsum("ij,ij->j", pos, pos)
-    if npos < r:
-        neg = prod[npos:r]
-        quad -= np.einsum("ij,ij->j", neg, neg)
+    head = prod[:r]
+    quad = np.einsum("ij,ij->j", samples_t if factor is None else head, head)
     quad += prod[r]
     losses = -prod[r + 1]
     c = samples_t[d] + losses
@@ -285,8 +284,7 @@ def _checked(nu: DualPoint, samples: SampleSet, mu, amb: AmbiguityParams, model:
     mu = _mu_value(mu)
     problem = _problem(nu, samples, amb, model)
     flat = nu.to_array()
-    factor = _eigen_factor(0.5 * (nu.lam + nu.lam.T))
-    return flat, mu, problem, _smooth(flat, factor, mu, problem)
+    return flat, mu, problem, _smooth(flat, None, mu, problem)
 
 
 def smooth_h_values(

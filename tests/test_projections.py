@@ -9,7 +9,6 @@ import oracles
 from helpers import random_dual_point
 from drtrack.errors import InvalidInputError
 from drtrack.projections import (
-    _eigen_factor,
     _project_flat,
     _psd_of_symmetric,
     project_feasible,
@@ -164,9 +163,9 @@ def test_project_flat_returns_the_factor_of_its_psd_block():
     rng = np.random.default_rng(13)
     for d in (2, 5, 8):
         for _ in range(5):
-            flat, (cols, rank) = _project_flat(random_dual_point(rng, d).to_array(), d)
+            flat, cols = _project_flat(random_dual_point(rng, d).to_array(), d)
             lam = flat[2 * d + 2 :].reshape(d + 1, d + 1)
-            assert rank == cols.shape[1] and 0 < rank <= d + 1
+            assert 0 < cols.shape[1] <= d + 1
             assert np.max(np.abs(cols @ cols.T - lam)) <= 1e-12
 
 
@@ -184,14 +183,14 @@ def test_project_flat_simplex_block_is_bitwise_project_simplex():
             _project_flat(vec, 3)
 
 
-def test_psd_of_symmetric_is_bitwise_the_positive_half_of_the_signed_factor():
+def test_psd_of_symmetric_is_bitwise_the_positive_eigenpairs():
     rng = np.random.default_rng(31)
     for size in (2, 9, 31):
         g = rng.normal(size=(size, size))
         for a in (np.zeros((size, size)), g @ g.T, g, g + g.T):
-            cols, npos = _eigen_factor(0.5 * (a + a.T))
-            pos = cols[:, :npos]
-            proj, (factor, rank) = _psd_of_symmetric(0.5 * (a + a.T))
-            assert rank == npos == factor.shape[1]
+            sym = 0.5 * (a + a.T)
+            eigvals, eigvecs = np.linalg.eigh(sym)
+            pos = eigvecs[:, eigvals > 0] * np.sqrt(eigvals[eigvals > 0])
+            proj, factor = _psd_of_symmetric(sym)
             assert np.array_equal(factor, pos)
             assert np.array_equal(proj, pos @ pos.T)

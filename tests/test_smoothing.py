@@ -162,7 +162,7 @@ def test_grad_smooth_phi_lam_block_is_symmetric():
 
 def test_smooth_h_values_match_dense_reference_for_indefinite_lam():
     # random points carry an indefinite, non-symmetric lam; the kernel
-    # reaches it through a signed eigen-factor of its symmetric part
+    # reads its symmetric part itself, with no eigen-factor
     rng = np.random.default_rng(71)
     samples, amb, model = gaussian_instance(21, d=4, n=40, scale=0.5, psi=PsiKind.SQUARED)
     for _ in range(10):
@@ -171,6 +171,44 @@ def test_smooth_h_values_match_dense_reference_for_indefinite_lam():
         smooth = smooth_h_values(nu, samples, 1e-12, amb, model)
         exact = h_values(nu, samples, amb, model)
         assert np.max(np.abs(smooth - exact)) <= 1e-9
+
+
+def test_factor_and_lam_inputs_agree_at_projected_points():
+    # the solver passes the PSD projection's factor F, the public functions
+    # None, for which the kernel reads sym(lam) = F F' itself
+    rng = np.random.default_rng(97)
+    for d, n in ((3, 40), (8, 500), (30, 3500)):
+        for kind in (PsiKind.SQUARED, PsiKind.ABSOLUTE):
+            samples, amb, model = gaussian_instance(
+                37 + d, d=d, n=n, scale=0.5, tau1=0.1, tau2=0.05, beta=0.9, psi=kind
+            )
+            problem = Problem(samples, amb, model)
+            for _ in range(10):
+                flat, factor = _project_flat(random_dual_point(rng, d).to_array(), d)
+                for mu in (1.0, 1e-4):
+                    by_factor = _smooth(flat, factor, mu, problem)
+                    by_lam = _smooth(flat, None, mu, problem)
+                    scale = np.max(np.abs(by_factor.vals))
+                    assert abs(by_lam.value - by_factor.value) <= 1e-12 * abs(by_factor.value)
+                    assert np.max(np.abs(by_lam.vals - by_factor.vals)) <= 1e-12 * scale
+                    grad = _gradient(flat, by_factor, mu, problem)
+                    again = _gradient(flat, by_lam, mu, problem)
+                    assert np.max(np.abs(again - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+def test_public_functions_decompose_nothing(monkeypatch):
+    rng = np.random.default_rng(103)
+    samples, amb, model = gaussian_instance(41, d=4, n=40, scale=0.5, tau1=0.1, tau2=0.05,
+                                            beta=0.9, psi=PsiKind.ABSOLUTE)
+    nu = random_dual_point(rng, 4)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert smooth_h_values(nu, samples, 1e-2, amb, model).shape == (40,)
+    assert np.isfinite(smooth_phi(nu, samples, 1e-2, amb, model))
+    assert np.isfinite(grad_smooth_phi(nu, samples, 1e-2, amb, model).to_array()).all()
 
 
 def test_mu_stage_on_stored_parts_equals_a_fresh_pass():
@@ -210,7 +248,7 @@ def test_scratch_buffer_reuse_leaves_earlier_results_intact():
     flat_b = random_dual_point(rng, 4).to_array()
     flat_b[-25:] += 3.0 * np.eye(5).ravel()
     flat_b, factor_b = _project_flat(flat_b, 4)
-    assert factor_b[0].shape != factor_a[0].shape
+    assert factor_b.shape != factor_a.shape
     at_b = _smooth(flat_b, factor_b, mu, kern)
     _gradient(flat_b, at_b, mu, kern)
     for name, before in arrays.items():
